@@ -144,34 +144,25 @@ def verify_reductions(m_values, alpha_values, beta_values, tol=1e-12):
     """
     rows = []
     for m in m_values:
-        for a in alpha_values:
-            a = Fraction(a)
-            b1_sq, b2 = bound_alpha_exact(m, a, 1)
-            c1_sq, c2 = corollary_bounds_exact(6, m=m, alpha=a)
-            row = {
-                "kind": "alpha", "m": m, "param": a,
-                "b1": math.sqrt(b1_sq), "b2": float(b2),
-                "b1_sq_match": b1_sq == c1_sq,
-                "b2_match": b2 == c2,
-            }
-            if m == 1:
-                d1_sq, d2 = corollary_bounds_exact(10, alpha=a)
-                row["onefold_match"] = (b1_sq == d1_sq and b2 == d2)
-            rows.append(row)
-        for b in beta_values:
-            b = Fraction(b)
-            b1_sq, b2 = bound_beta_exact(m, b, 1)
-            c1_sq, c2 = corollary_bounds_exact(7, m=m, beta=b)
-            row = {
-                "kind": "beta", "m": m, "param": b,
-                "b1": math.sqrt(b1_sq), "b2": float(b2),
-                "b1_sq_match": b1_sq == c1_sq,
-                "b2_match": b2 == c2,
-            }
-            if m == 1:
-                d1_sq, d2 = corollary_bounds_exact(11, beta=b)
-                row["onefold_match"] = (b1_sq == d1_sq and b2 == d2)
-            rows.append(row)
+        for kind, values, exact_bound, general, onefold in (
+                ("alpha", alpha_values, bound_alpha_exact, 6, 10),
+                ("beta", beta_values, bound_beta_exact, 7, 11)):
+            for value in values:
+                value = Fraction(value)
+                b1_sq, b2 = exact_bound(m, value, 1)
+                c1_sq, c2 = corollary_bounds_exact(general, m=m,
+                                                   **{kind: value})
+                row = {
+                    "kind": kind, "m": m, "param": value,
+                    "b1": math.sqrt(b1_sq), "b2": float(b2),
+                    "b1_sq_match": b1_sq == c1_sq,
+                    "b2_match": b2 == c2,
+                }
+                if m == 1:
+                    row["onefold_match"] = (
+                        (b1_sq, b2)
+                        == corollary_bounds_exact(onefold, **{kind: value}))
+                rows.append(row)
     return rows
 
 

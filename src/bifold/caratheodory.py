@@ -153,31 +153,43 @@ def _powi(z: complex, k: int) -> complex:
 # sampling
 
 
-def sample(seed, atom_count, m=1) -> CaratheodoryFunction:
-    """Seeded float sample: simplex weights, uniform circle points."""
+def _draw_atoms(rng, count, backend, scale=1, t_range=24):
+    """``count`` seeded atoms of total weight ``scale``, weights drawn first.
+
+    Float atoms take exponential weights and uniform circle points; exact
+    atoms take integer weights in [1, 60] and the rational unimodular point
+    of a random tangent-half parameter with numerator and denominator
+    bounded by ``t_range``.
+    """
+    if backend == EXACT:
+        raw = [Fraction(rng.randint(1, 60)) for _ in range(count)]
+        points = [unimodular_exact(Fraction(rng.randint(-t_range, t_range),
+                                            rng.randint(1, t_range)))
+                  for _ in range(count)]
+    else:
+        raw = [rng.expovariate(1.0) for _ in range(count)]
+        points = [cmath.exp(2j * cmath.pi * rng.random())
+                  for _ in range(count)]
+    total = sum(raw)
+    return [(scale * r / total, z) for r, z in zip(raw, points)]
+
+
+def _sample(seed, atom_count, m, backend, t_range=24):
     if atom_count < 1:
         raise ValueError("atom count must be >= 1")
-    rng = random.Random(seed)
-    raw = [rng.expovariate(1.0) for _ in range(atom_count)]
-    total = sum(raw)
-    weights = [r / total for r in raw]
-    points = [cmath.exp(2j * cmath.pi * rng.random())
-              for _ in range(atom_count)]
-    return CaratheodoryFunction(zip(weights, points), fold=m, backend=FLOAT)
+    atoms = _draw_atoms(random.Random(seed), atom_count, backend,
+                        t_range=t_range)
+    return CaratheodoryFunction(atoms, fold=m, backend=backend)
+
+
+def sample(seed, atom_count, m=1) -> CaratheodoryFunction:
+    """Seeded float sample: simplex weights, uniform circle points."""
+    return _sample(seed, atom_count, m, FLOAT)
 
 
 def sample_exact(seed, atom_count, m=1, t_range=24) -> CaratheodoryFunction:
     """Seeded exact sample: rational weights, rational unimodular points."""
-    if atom_count < 1:
-        raise ValueError("atom count must be >= 1")
-    rng = random.Random(seed)
-    raw = [rng.randint(1, 60) for _ in range(atom_count)]
-    total = sum(raw)
-    weights = [Fraction(r, total) for r in raw]
-    points = [unimodular_exact(Fraction(rng.randint(-t_range, t_range),
-                                        rng.randint(1, t_range)))
-              for _ in range(atom_count)]
-    return CaratheodoryFunction(zip(weights, points), fold=m, backend=EXACT)
+    return _sample(seed, atom_count, m, EXACT, t_range)
 
 
 # ----------------------------------------------------------------------
@@ -230,21 +242,8 @@ def _tail_atoms(rng, count, s, backend):
     pairwise-adjacent, the cancellation is exact even in floats: the
     accumulator returns to exactly 0.0 after every pair.
     """
-    if backend == EXACT:
-        raw = [Fraction(rng.randint(1, 60)) for _ in range(count)]
-        total = sum(raw)
-        points = [unimodular_exact(Fraction(rng.randint(-24, 24),
-                                            rng.randint(1, 24)))
-                  for _ in range(count)]
-        half = [s * u / (2 * total) for u in raw]
-    else:
-        raw = [rng.expovariate(1.0) for _ in range(count)]
-        total = sum(raw)
-        points = [cmath.exp(2j * cmath.pi * rng.random())
-                  for _ in range(count)]
-        half = [s * u / (2 * total) for u in raw]
     atoms = []
-    for h, xi in zip(half, points):
+    for h, xi in _draw_atoms(rng, count, backend, scale=s / 2):
         atoms.append((h, xi))
         atoms.append((h, -xi))
     return atoms
@@ -266,24 +265,12 @@ def constrained_pair(seed, m, atom_count=3, backend=FLOAT, tail_pairs=None):
     if tail_pairs is None:
         tail_pairs = max(1, atom_count // 2)
     rng = random.Random(_subseed(seed, m, backend, "pair"))
-    if backend == EXACT:
-        s = Fraction(rng.randint(1, 3), 4)  # tail weight share
-        raw = [Fraction(rng.randint(1, 60)) for _ in range(atom_count)]
-        total = sum(raw)
-        core_weights = [(1 - s) * r / total for r in raw]
-        core_points = [unimodular_exact(Fraction(rng.randint(-24, 24),
-                                                 rng.randint(1, 24)))
-                       for _ in range(atom_count)]
-    else:
-        s = rng.randint(1, 3) / 4.0
-        raw = [rng.expovariate(1.0) for _ in range(atom_count)]
-        total = sum(raw)
-        core_weights = [(1 - s) * r / total for r in raw]
-        core_points = [cmath.exp(2j * cmath.pi * rng.random())
-                       for _ in range(atom_count)]
+    scalar = Fraction if backend == EXACT else float
+    s = scalar(rng.randint(1, 3)) / 4  # tail weight share
+    core = _draw_atoms(rng, atom_count, backend, scale=1 - s)
     p_atoms = _tail_atoms(rng, tail_pairs, s, backend)
     q_atoms = _tail_atoms(rng, tail_pairs, s, backend)
-    for w, zeta in zip(core_weights, core_points):
+    for w, zeta in core:
         p_atoms.append((w, zeta))
         q_atoms.append((w, -zeta))
     p = CaratheodoryFunction(p_atoms, fold=m, backend=backend)
@@ -383,12 +370,8 @@ def zero_moment_base(fold=1, backend=EXACT) -> CaratheodoryFunction:
     Useful as a neutral carrier: mixing any sample with it scales the first
     two expansion coefficients without leaving the class.
     """
-    if backend == EXACT:
-        atoms = tuple(zip(_BASE_WEIGHTS, _BASE_POINTS))
-    else:
-        atoms = tuple((float(w), complex(z))
-                      for w, z in zip(_BASE_WEIGHTS, _BASE_POINTS))
-    return CaratheodoryFunction(atoms, fold=fold, backend=backend)
+    return CaratheodoryFunction(zip(_BASE_WEIGHTS, _BASE_POINTS), fold=fold,
+                                backend=backend)
 
 
 def with_moments(c1, c2, fold=1, backend=EXACT) -> CaratheodoryFunction:
@@ -401,31 +384,29 @@ def with_moments(c1, c2, fold=1, backend=EXACT) -> CaratheodoryFunction:
     shrink the targets and retry.
     """
     if backend == EXACT:
-        c1 = c1 if isinstance(c1, QComplex) else QComplex(c1)
-        c2 = c2 if isinstance(c2, QComplex) else QComplex(c2)
-        pts = _BASE_POINTS
-        matrix = [[Fraction(1)] * 5,
-                  [p.re for p in pts[:5]],
-                  [p.im for p in pts[:5]],
-                  [(p * p).re for p in pts[:5]],
-                  [(p * p).im for p in pts[:5]]]
-        rhs = [Fraction(0), c1.re, c1.im, c2.re, c2.im]
-        delta = solve_linear_exact(matrix, rhs) + [Fraction(0)]
-        weights = [w + d for w, d in zip(_BASE_WEIGHTS, delta)]
-        if any(w < 0 for w in weights):
-            raise ValueError("prescribed moments leave the weight simplex")
-        return CaratheodoryFunction(zip(weights, pts), fold=fold,
-                                    backend=EXACT)
-    c1, c2 = complex(c1), complex(c2)
-    pts = [complex(p) for p in _BASE_POINTS]
-    matrix = [[1.0] * 5,
-              [p.real for p in pts[:5]],
-              [p.imag for p in pts[:5]],
-              [(p * p).real for p in pts[:5]],
-              [(p * p).imag for p in pts[:5]]]
-    rhs = [0.0, c1.real, c1.imag, c2.real, c2.imag]
-    delta = _solve_linear_float(matrix, rhs) + [0.0]
-    weights = [float(w) + d for w, d in zip(_BASE_WEIGHTS, delta)]
+        c1, c2 = (c if isinstance(c, QComplex) else QComplex(c)
+                  for c in (c1, c2))
+        pts, solve = _BASE_POINTS, solve_linear_exact
+    else:
+        c1, c2 = complex(c1), complex(c2)
+        pts, solve = [complex(p) for p in _BASE_POINTS], _solve_linear_float
+    parts = [_re_im(p) for p in pts[:5]]
+    squares = [_re_im(p * p) for p in pts[:5]]
+    matrix = [[1] * 5,
+              [re for re, _ in parts],
+              [im for _, im in parts],
+              [re for re, _ in squares],
+              [im for _, im in squares]]
+    rhs = [0, *_re_im(c1), *_re_im(c2)]
+    delta = solve(matrix, rhs) + [0]
+    weights = [w + d for w, d in zip(_BASE_WEIGHTS, delta)]
     if any(w < 0 for w in weights):
         raise ValueError("prescribed moments leave the weight simplex")
-    return CaratheodoryFunction(zip(weights, pts), fold=fold, backend=FLOAT)
+    return CaratheodoryFunction(zip(weights, pts), fold=fold, backend=backend)
+
+
+def _re_im(z):
+    """(real part, imaginary part) of a QComplex or a complex."""
+    if isinstance(z, QComplex):
+        return z.re, z.im
+    return z.real, z.imag

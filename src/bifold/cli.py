@@ -7,7 +7,9 @@ rationals as num/den strings, so repeated runs are byte-identical; the
 only run-dependent line is the CSV timestamp header, suppressed by
 ``--no-timestamp``.
 
-Exit codes: 0 success, 1 suite or verification failure, 2 usage error.
+Exit codes: 0 success, 1 suite or verification failure, 2 usage error
+(bad input), 3 internal error (any other exception: a defect in bifold,
+reported with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import cmath
 import csv
 import io
 import json
+import random
 import sys
+import traceback
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -25,11 +29,10 @@ from . import bounds as bounds_mod
 from . import explore
 from .caratheodory import (CaratheodoryFunction, check_lemma1,
                            constrained_pair, sample, sample_exact)
-from .derivation import (bound_consistency, realizable_pair, solve_alpha,
-                         solve_beta)
+from .derivation import _solve, bound_consistency, realizable_pair
 from .membership import ClassSpec, check_membership
 from .mfold import CATALOG_NAMES, MFoldFunction, catalog
-from .selftest import run_selftest
+from .selftest import check_inversion, run_selftest
 from .series import QComplex
 
 __all__ = ["main"]
@@ -105,6 +108,8 @@ def _parse_atoms(text):
         angle = float(deg) * cmath.pi / 180.0
         atoms.append((float(w), cmath.exp(1j * angle)))
     total = sum(w for w, _ in atoms)
+    if not total > 0:
+        raise ValueError(f"atom weights in {text!r} must have a positive sum")
     return [(w / total, z) for w, z in atoms]
 
 
@@ -149,30 +154,23 @@ def cmd_bounds(args):
     for kind in kinds:
         params = _parse_list(args.alpha if kind == "alpha" else args.beta,
                              _parse_fraction)
+        matches = {}
+        if 1 in lam_values:
+            for r in bounds_mod.verify_reductions(
+                    m_values, params if kind == "alpha" else [],
+                    params if kind == "beta" else []):
+                matches[r["m"], r["param"]] = (
+                    "exact" if r["b1_sq_match"] and r["b2_match"]
+                    else "MISMATCH")
         for m in m_values:
             for param in params:
                 for lam in lam_values:
-                    if kind == "alpha":
-                        b1, b2 = bounds_mod.bound_alpha(m, param, lam)
-                    else:
-                        b1, b2 = bounds_mod.bound_beta(m, param, lam)
-                    if lam == 1:
-                        which = 6 if kind == "alpha" else 7
-                        c1_sq, c2 = bounds_mod.corollary_bounds_exact(
-                            which, m=m,
-                            alpha=param if kind == "alpha" else None,
-                            beta=param if kind == "beta" else None)
-                        if kind == "alpha":
-                            t1_sq, t2 = bounds_mod.bound_alpha_exact(m, param, lam)
-                        else:
-                            t1_sq, t2 = bounds_mod.bound_beta_exact(m, param, lam)
-                        match = "exact" if (t1_sq == c1_sq and t2 == c2) else "MISMATCH"
-                    else:
-                        match = ""
+                    b1, b2 = ClassSpec.from_kind(kind, m, param, lam).bounds()
                     rows.append({
                         "kind": kind, "m": m, "alpha_or_beta": param,
                         "lambda": lam, "bound_a_m1": b1, "bound_a_2m1": b2,
-                        "corollary_match": match})
+                        "corollary_match": matches[m, param] if lam == 1
+                        else ""})
     _emit(rows, ["kind", "m", "alpha_or_beta", "lambda", "bound_a_m1",
                  "bound_a_2m1", "corollary_match"], args)
     return 0
@@ -204,28 +202,14 @@ def cmd_invert(args):
 def cmd_verify_inversion(args):
     args = _apply_config(args, {
         "m": "1,2,3,4,5,6", "samples": 25, "seed": 0})
-    import random as _random
 
     rows = []
     failures = 0
     for m in _parse_list(args.m, int):
-        rng = _random.Random(f"verify-inversion/{args.seed}/{m}")
-        mismatches = 0
-        identity_bad = 0
-        for _ in range(int(args.samples)):
-            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(3)]
-            fn = MFoldFunction(m, coeffs)
-            if fn.inverse_closed_form().as_tuple() != \
-                    fn.inverse_by_reversion().as_tuple():
-                mismatches += 1
-            f = fn.to_series(3 * m + 2)
-            g = f.revert()
-            comp = f.compose(g)
-            ident = all(comp.coeff(n) == (1 if n == 1 else 0)
-                        for n in range(comp.order + 1))
-            if not ident:
-                identity_bad += 1
+        rng = random.Random(f"verify-inversion/{args.seed}/{m}")
+        results = [check_inversion(rng, m) for _ in range(int(args.samples))]
+        mismatches = sum(not closed_ok for closed_ok, _ in results)
+        identity_bad = sum(not identity_ok for _, identity_ok in results)
         failures += mismatches + identity_bad
         rows.append({
             "m": m, "samples": int(args.samples),
@@ -257,11 +241,10 @@ def cmd_membership(args):
                              f"choices: {', '.join(CATALOG_NAMES)}")
         f = catalog(args.name, m, order)
     elif args.coeffs:
-        fn = MFoldFunction(m, _parse_list(args.coeffs, _parse_fraction))
-        f = fn.to_series(order)
+        f = MFoldFunction(m, _parse_list(args.coeffs, _parse_fraction))
     else:
         raise ValueError("membership needs --name or --coeffs")
-    report = check_membership(f, spec, angles=int(args.angles),
+    report = check_membership(f, spec, angles=int(args.angles), order=order,
                               g_order=int(args.g_order))
     rows = []
     for side in (report.f_report, report.g_report):
@@ -293,24 +276,19 @@ def cmd_solve_coeffs(args):
     m = int(args.m)
     lam = _parse_fraction(args.lam)
     param = _parse_fraction(args.alpha if args.kind == "alpha" else args.beta)
+    spec = ClassSpec.from_kind(args.kind, m, float(param), float(lam))
     if args.p_atoms and args.q_atoms:
         p = CaratheodoryFunction(_parse_atoms(args.p_atoms), fold=m,
                                  backend="float")
         q = CaratheodoryFunction(_parse_atoms(args.q_atoms), fold=m,
                                  backend="float")
     elif args.realizable:
-        spec = (ClassSpec("arg", m=m, lam=lam, alpha=param)
-                if args.kind == "alpha"
-                else ClassSpec("re", m=m, lam=lam, beta=param))
         p, q = realizable_pair(_parse_seed(args.seed), spec, backend="float",
                                atom_count=int(args.atoms))
     else:
         p, q = constrained_pair(_parse_seed(args.seed), m, int(args.atoms),
                                 backend="float")
-    if args.kind == "alpha":
-        solution = solve_alpha(p, q, m, float(param), float(lam))
-    else:
-        solution = solve_beta(p, q, m, float(param), float(lam))
+    solution = _solve(p, q, spec)
     consistency = bound_consistency(solution)
     row = {
         "kind": args.kind, "m": m, "param": param, "lambda": lam,
@@ -565,6 +543,10 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect in bifold, not in the input
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

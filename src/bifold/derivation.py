@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import bounds as bounds_mod
 from .caratheodory import (CaratheodoryFunction, sample_exact, sample,
                            with_moments, zero_moment_base, _subseed)
 from .membership import ClassSpec, phi
@@ -38,6 +38,9 @@ from .series import EXACT, FLOAT, TruncatedSeries
 
 __all__ = [
     "CoefficientSolution",
+    "ClassConstants",
+    "class_constants",
+    "solve_moments",
     "solve_alpha",
     "solve_beta",
     "forward_verify",
@@ -87,56 +90,81 @@ class CoefficientSolution:
         return max(abs(complex(self.residuals[k])) for k in keys)
 
 
-def _require_rational(spec: ClassSpec):
-    for name, value in (("lambda", spec.lam), ("param", spec.param)):
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(
-                f"exact-backend derivation needs rational parameters; "
-                f"{name}={value!r} is not")
+class ClassConstants(NamedTuple):
+    """A class's coefficient-system constants in one backend's scalars.
+
+    ``square`` is alpha(alpha-1)/2, the p_m^2 weight of the arg-type
+    right-hand side; the re-type side has no such term and keeps None.
+    """
+
+    spec: ClassSpec
+    exact: bool
+    lam: object
+    param: object  # alpha or beta
+    t: object  # alpha or 1 - beta
+    square: object
+    k1: object
+    k2: object
+
+    def first_coefficient(self, p_m):
+        """a_{m+1} from the linear f-side relation K1 a_{m+1} = t p_m."""
+        return self.t * p_m / self.k1
+
+    def rhs(self, x_m, x_2m):
+        """R = t x_2m, plus square * x_m^2 on the arg type."""
+        if self.square is None:
+            return self.t * x_2m
+        return self.t * x_2m + self.square * x_m * x_m
+
+    def rhs_inverse(self, r, x_m):
+        """The x_2m with rhs(x_m, x_2m) = r."""
+        if self.square is None:
+            return r / self.t
+        return (r - self.square * x_m * x_m) / self.t
 
 
-def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
-           spec: ClassSpec, tol=1e-12) -> CoefficientSolution:
-    if p.backend != q.backend:
-        raise ValueError("p and q must share a backend")
-    if p.fold != spec.m or q.fold != spec.m:
-        raise ValueError("fold order of p, q must match the class spec")
-    backend = p.backend
-    exact = backend == EXACT
+def class_constants(spec: ClassSpec, exact: bool) -> ClassConstants:
+    """K1, K2, t and the right-hand-side weights of ``spec``.
+
+    Exact constants are Fractions and need rational parameters; otherwise
+    they are floats.
+    """
     if exact:
-        _require_rational(spec)
-        lam = Fraction(spec.lam)
-        t = Fraction(spec.alpha) if spec.kind == "arg" else 1 - Fraction(spec.beta)
-        alpha = Fraction(spec.alpha) if spec.kind == "arg" else None
-    else:
-        lam = float(spec.lam)
-        t = float(spec.alpha) if spec.kind == "arg" else 1.0 - float(spec.beta)
-        alpha = float(spec.alpha) if spec.kind == "arg" else None
-    m = spec.m
-    p_m, p_2m = p.coefficient(1), p.coefficient(2)
-    q_m, q_2m = q.coefficient(1), q.coefficient(2)
-
-    gap = p_m + q_m
-    if exact:
-        if gap != 0:
-            raise ValueError(f"moment constraint violated: p_m + q_m = {gap!r}")
-    elif abs(gap) > tol * max(1.0, abs(p_m)):
-        raise ValueError(f"moment constraint violated: |p_m + q_m| = {abs(gap)}")
-
-    k1 = m * (1 + lam) / (2 * lam)
-    k2 = m * m * (1 - lam) / (4 * lam * lam)
-
+        for name, value in (("lambda", spec.lam), ("param", spec.param)):
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(
+                    f"exact-backend derivation needs rational parameters; "
+                    f"{name}={value!r} is not")
+    scalar = Fraction if exact else float
+    lam, param, m = scalar(spec.lam), scalar(spec.param), spec.m
     if spec.kind == "arg":
-        half_aa1 = alpha * (alpha - 1) / 2
-        rhs_f = alpha * p_2m + half_aa1 * p_m * p_m
-        rhs_g = alpha * q_2m + half_aa1 * q_m * q_m
-        odd_cancel = half_aa1 * (p_m * p_m - q_m * q_m)
+        t, square = param, param * (param - 1) / 2
     else:
-        rhs_f = t * p_2m
-        rhs_g = t * q_2m
-        odd_cancel = 0 * p_m
+        t, square = 1 - param, None
+    # positional: a sweep builds one per solve
+    return ClassConstants(spec, exact, lam, param, t, square,
+                          m * (1 + lam) / (2 * lam),
+                          m * m * (1 - lam) / (4 * lam * lam))
 
-    a1 = t * p_m / k1
+
+def solve_moments(p_m, p_2m, q_m, q_2m,
+                  constants: ClassConstants) -> CoefficientSolution:
+    """Solve the coefficient system from the four moments of a pair.
+
+    Plain arithmetic on whatever scalars come in; the caller checks the
+    moment constraint p_m = -q_m.
+    """
+    c = constants
+    m = c.spec.m
+    rhs_f = c.rhs(p_m, p_2m)
+    rhs_g = c.rhs(q_m, q_2m)
+    if c.square is None:
+        odd_cancel = 0 * p_m
+    else:
+        odd_cancel = c.square * (p_m * p_m - q_m * q_m)
+    k1, k2, t = c.k1, c.k2, c.t
+
+    a1 = c.first_coefficient(p_m)
     a1_sq = a1 * a1
     a2 = (rhs_f - rhs_g) / (4 * k1) + (m + 1) * a1_sq / 2
 
@@ -153,8 +181,27 @@ def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
         "odd_square_cancel": odd_cancel,
     }
     return CoefficientSolution(
-        spec=spec, a_m1=a1, a_2m1=a2, p_m=p_m, p_2m=p_2m, q_m=q_m,
-        q_2m=q_2m, residuals=residuals, backend=backend)
+        spec=c.spec, a_m1=a1, a_2m1=a2, p_m=p_m, p_2m=p_2m, q_m=q_m,
+        q_2m=q_2m, residuals=residuals, backend=EXACT if c.exact else FLOAT)
+
+
+def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
+           spec: ClassSpec, tol=1e-12) -> CoefficientSolution:
+    if p.backend != q.backend:
+        raise ValueError("p and q must share a backend")
+    if p.fold != spec.m or q.fold != spec.m:
+        raise ValueError("fold order of p, q must match the class spec")
+    constants = class_constants(spec, p.backend == EXACT)
+    p_m, p_2m = p.coefficient(1), p.coefficient(2)
+    q_m, q_2m = q.coefficient(1), q.coefficient(2)
+
+    gap = p_m + q_m
+    if constants.exact:
+        if gap != 0:
+            raise ValueError(f"moment constraint violated: p_m + q_m = {gap!r}")
+    elif abs(gap) > tol * max(1.0, abs(p_m)):
+        raise ValueError(f"moment constraint violated: |p_m + q_m| = {abs(gap)}")
+    return solve_moments(p_m, p_2m, q_m, q_2m, constants)
 
 
 def solve_alpha(p, q, m, alpha, lam, tol=1e-12) -> CoefficientSolution:
@@ -207,21 +254,13 @@ def forward_verify(solution: CoefficientSolution, p, q,
     spec = solution.spec
     m = spec.m
     exact = solution.backend == EXACT
+    c = class_constants(spec, exact)
     a1 = solution.a_m1
     a2 = solution.a_2m1 if a_2m1_override is None else a_2m1_override
-    backend = EXACT if exact else FLOAT
     order = 2 * m + 1
     f = TruncatedSeries.from_dict({1: 1, m + 1: a1, 2 * m + 1: a2},
-                                  order, backend=backend)
+                                  order, backend=solution.backend)
     g = f.revert()
-    if exact:
-        lam = Fraction(spec.lam)
-        beta = None if spec.kind == "arg" else Fraction(spec.beta)
-        alpha = Fraction(spec.alpha) if spec.kind == "arg" else None
-    else:
-        lam = float(spec.lam)
-        beta = None if spec.kind == "arg" else float(spec.beta)
-        alpha = float(spec.alpha) if spec.kind == "arg" else None
 
     def target(carath):
         series = carath.expand(2 * m)
@@ -230,13 +269,13 @@ def forward_verify(solution: CoefficientSolution, p, q,
         if not exact:
             series = series.to_float()
         if spec.kind == "arg":
-            return series.pow(alpha)
-        return (1 - beta) * series + beta
+            return series.pow(c.param)
+        return c.t * series + c.param
 
     rows_f = []
     rows_g = []
-    phi_f = phi(f, spec.lam if exact else float(spec.lam))
-    phi_g = phi(g, spec.lam if exact else float(spec.lam))
+    phi_f = phi(f, c.lam)
+    phi_g = phi(g, c.lam)
     tf = target(p)
     tg = target(q)
     for n in range(0, 2 * m + 1):
@@ -282,13 +321,9 @@ def bound_consistency(solution: CoefficientSolution,
     bound holds for every constrained pair.  A ratio above 1 + slack is a
     reportable finding, not an exception.
     """
-    spec = solution.spec
-    if spec.kind == "arg":
-        b1, b2 = bounds_mod.bound_alpha(spec.m, spec.alpha, spec.lam)
-    else:
-        b1, b2 = bounds_mod.bound_beta(spec.m, spec.beta, spec.lam)
+    b1, b2 = solution.spec.bounds()
     return ConsistencyReport(
-        spec=spec,
+        spec=solution.spec,
         abs_a_m1=abs(complex(solution.a_m1)),
         abs_a_2m1=abs(complex(solution.a_2m1)),
         bound_a_m1=b1,
@@ -312,39 +347,21 @@ def realizable_pair(seed, spec: ClassSpec, backend=EXACT, atom_count=3):
     bound ratios apply to them with no filtering caveat.
     """
     exact = backend == EXACT
-    if exact:
-        _require_rational(spec)
-        lam = Fraction(spec.lam)
-        t = Fraction(spec.alpha) if spec.kind == "arg" else 1 - Fraction(spec.beta)
-        alpha = Fraction(spec.alpha) if spec.kind == "arg" else None
-        eps0 = Fraction(1, 4)
-    else:
-        lam = float(spec.lam)
-        t = float(spec.alpha) if spec.kind == "arg" else 1.0 - float(spec.beta)
-        alpha = float(spec.alpha) if spec.kind == "arg" else None
-        eps0 = 0.25
+    c = class_constants(spec, exact)
     m = spec.m
-    k1 = m * (1 + lam) / (2 * lam)
-    k2 = m * m * (1 - lam) / (4 * lam * lam)
     sampler = sample_exact if exact else sample
     raw = sampler(_subseed(seed, "realizable", spec.kind, m), atom_count, m)
     base = zero_moment_base(fold=m, backend=backend)
-    eps = eps0
+    eps = Fraction(1, 4) if exact else 0.25
     for _ in range(12):
         atoms = [(w * eps, z) for (w, z) in raw.atoms]
         atoms += [(w * (1 - eps), z) for (w, z) in base.atoms]
         p = CaratheodoryFunction(atoms, fold=m, backend=backend)
         p_m, p_2m = p.coefficient(1), p.coefficient(2)
-        a1 = t * p_m / k1
-        a1_sq = a1 * a1
-        if spec.kind == "arg":
-            rhs_f = alpha * p_2m + alpha * (alpha - 1) / 2 * p_m * p_m
-            rhs_g_req = (2 * m * k1 + 2 * k2) * a1_sq - rhs_f
-            q_2m = (rhs_g_req - alpha * (alpha - 1) / 2 * p_m * p_m) / alpha
-        else:
-            rhs_f = t * p_2m
-            rhs_g_req = (2 * m * k1 + 2 * k2) * a1_sq - rhs_f
-            q_2m = rhs_g_req / t
+        a1 = c.first_coefficient(p_m)
+        # the q_2m whose g-side relation zeroes the addition residual
+        rhs_g = (2 * m * c.k1 + 2 * c.k2) * (a1 * a1) - c.rhs(p_m, p_2m)
+        q_2m = c.rhs_inverse(rhs_g, -p_m)
         try:
             q = with_moments(-p_m / 2, q_2m / 2, fold=m, backend=backend)
             return p, q

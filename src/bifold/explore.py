@@ -68,14 +68,6 @@ class SearchRecord:
         return self.max_a_m1_unfiltered <= self.ceiling + 1e-10
 
 
-def _cell_spec(kind, m, param, lam) -> ClassSpec:
-    if kind == "alpha":
-        return ClassSpec("arg", m=m, lam=lam, alpha=param)
-    if kind == "beta":
-        return ClassSpec("re", m=m, lam=lam, beta=param)
-    raise ValueError(f"kind must be 'alpha' or 'beta', got {kind!r}")
-
-
 def sweep_cell(kind, m, param, lam, samples, seed,
                atom_count=3, realizable=0,
                threshold=DEFAULT_REALIZABILITY_THRESHOLD) -> SearchRecord:
@@ -85,7 +77,7 @@ def sweep_cell(kind, m, param, lam, samples, seed,
     system exactly (well, to float solve tolerance) so that the filtered
     statistics are not vacuously empty.
     """
-    spec = _cell_spec(kind, m, param, lam)
+    spec = ClassSpec.from_kind(kind, m, param, lam)
     lam_f = float(lam)
     param_f = float(param)
     best = {"f1": 0.0, "f2": 0.0, "u1": 0.0, "u2": 0.0,
@@ -117,10 +109,7 @@ def sweep_cell(kind, m, param, lam, samples, seed,
                                atom_count=atom_count)
         record(_solve(p, q, spec), tag)
 
-    if kind == "alpha":
-        b1, b2 = bounds_mod.bound_alpha(m, param, lam)
-    else:
-        b1, b2 = bounds_mod.bound_beta(m, param, lam)
+    b1, b2 = spec.bounds()
     return SearchRecord(
         kind=kind, m=m, param=param_f, lam=lam_f,
         samples=samples + realizable, filtered_count=count_filtered,
@@ -197,7 +186,7 @@ def hill_climb(kind, m, param, lam, seed, iterations,
     Deterministic for a fixed seed; iterations=0 returns the evaluated
     start unchanged.
     """
-    spec = _cell_spec(kind, m, param, lam)
+    spec = ClassSpec.from_kind(kind, m, param, lam)
     rng = random.Random(_subseed(seed, "hillclimb", kind, m, param, lam))
     if isinstance(start, CaratheodoryFunction):
         weights = [w for w, _ in start.atoms]

@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import bounds as bounds_mod
 from .series import EXACT, TruncatedSeries
 
 __all__ = [
@@ -79,9 +80,26 @@ class ClassSpec:
                 raise ValueError(f"re-type needs beta in [0, 1), "
                                  f"got {self.beta!r}")
 
+    @classmethod
+    def from_kind(cls, kind, m, param, lam) -> "ClassSpec":
+        """The spec named in the "alpha" | "beta" vocabulary of ``bounds``,
+        ``solve-coeffs`` and ``search``: alpha is the arg type, beta the
+        re type."""
+        if kind == "alpha":
+            return cls("arg", m=m, lam=lam, alpha=param)
+        if kind == "beta":
+            return cls("re", m=m, lam=lam, beta=param)
+        raise ValueError(f"kind must be 'alpha' or 'beta', got {kind!r}")
+
     @property
     def param(self):
         return self.alpha if self.kind == "arg" else self.beta
+
+    def bounds(self):
+        """(B1, B2): the closed-form bounds on |a_{m+1}| and |a_{2m+1}|."""
+        if self.kind == "arg":
+            return bounds_mod.bound_alpha(self.m, self.alpha, self.lam)
+        return bounds_mod.bound_beta(self.m, self.beta, self.lam)
 
     def describe(self) -> str:
         name = "alpha" if self.kind == "arg" else "beta"
@@ -125,17 +143,16 @@ def re_margin(value, spec: ClassSpec) -> float:
 def tail_estimate(series: TruncatedSeries, radius: float, window=6) -> float:
     """Crude geometric extrapolation of the truncation error at |z| = radius.
 
-    Looks at the trailing ``window`` coefficient magnitudes, takes the
-    largest ratio of consecutive nonzero ones as the growth rate rho, and
-    bounds the tail by |c_N| r^N * q/(1-q) with q = rho*r.  Infinite when
-    the extrapolated terms do not decay.  Identically zero series tails
-    are zero.
+    Looks at the trailing ``window`` coefficient magnitudes (never the
+    constant term, which no truncation cuts), takes the largest ratio of
+    consecutive nonzero ones as the growth rate rho, and bounds the tail by
+    |c_N| r^N * q/(1-q) with q = rho*r.  Infinite when the extrapolated
+    terms do not decay.  Identically zero series tails are zero.
     """
     coeffs = [abs(complex(c)) for c in series.coeffs]
-    n = series.order
-    last = coeffs[max(0, n + 1 - window):]
-    top = max(last)
-    if top == 0.0:
+    start = max(1, series.order + 1 - window)
+    last = coeffs[start:]
+    if max(last, default=0.0) == 0.0:
         return 0.0
     ratios = [b / a for a, b in zip(last, last[1:]) if a > 0 and b > 0]
     rho = max(ratios) if ratios else 1.0
@@ -143,8 +160,7 @@ def tail_estimate(series: TruncatedSeries, radius: float, window=6) -> float:
     q = rho * radius
     if q >= 1.0:
         return float("inf")
-    lead = max(c * radius ** (n - (len(last) - 1 - i))
-               for i, c in enumerate(last))
+    lead = max(c * radius ** (start + i) for i, c in enumerate(last))
     return lead * q / (1.0 - q)
 
 
@@ -228,10 +244,11 @@ def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
                      g_order=32) -> MembershipReport:
     """Sample the membership condition for f and its truncated inverse.
 
-    ``f`` is a normalized TruncatedSeries on either backend or an object
-    with a ``to_series`` method.  Passing ``order`` above f's own order
-    zero-pads the coefficients, which is only sound when f really is the
-    polynomial its truncation shows.
+    ``f`` is a normalized TruncatedSeries on either backend or an
+    ``MFoldFunction``, which is expanded to ``order`` and refused when that
+    order would drop one of its nonzero coefficients.  Passing ``order``
+    above a series' own order zero-pads the coefficients, which is only
+    sound when f really is the polynomial its truncation shows.
 
     The inverse side runs on radii capped at 0.7 and at a moderate
     truncation (``g_order``): reversion amplifies cancellation, so high
@@ -240,8 +257,16 @@ def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
     Every margin is compared against the geometric tail estimate; margins
     inside the estimate give "inconclusive".
     """
+    if angles < 1:
+        raise ValueError(f"angles must be a positive integer, got {angles!r}")
     if hasattr(f, "to_series"):
-        f = f.to_series(order)
+        fn, f = f, f.to_series(order)
+        dropped = [k * fn.m + 1 for k in range(1, fn.depth + 1)
+                   if k * fn.m + 1 > f.order and fn.coefficient(k) != 0]
+        if dropped:
+            raise ValueError(
+                f"order {f.order} drops the nonzero coefficient of "
+                f"z^{dropped[-1]}; membership needs order >= {dropped[-1]}")
     if order is not None and order > f.order:
         zero = Fraction(0) if f.backend == EXACT else 0j
         f = TruncatedSeries(list(f.coeffs) + [zero] * (order - f.order),

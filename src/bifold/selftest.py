@@ -13,14 +13,14 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .caratheodory import check_lemma1, constrained_pair, sample
-from .derivation import (bound_consistency, forward_verify, realizable_pair,
-                         solve_alpha, solve_beta)
+from .derivation import (_solve, bound_consistency, forward_verify,
+                         realizable_pair)
 from .explore import sweep_cell
 from .membership import ClassSpec, check_membership
 from .mfold import MFoldFunction, catalog
 from .series import TruncatedSeries
 
-__all__ = ["run_selftest"]
+__all__ = ["run_selftest", "check_inversion"]
 
 
 class _Suite:
@@ -39,6 +39,23 @@ class _Suite:
         return not self.failures
 
 
+def check_inversion(rng, m):
+    """Draw one m-fold function from ``rng`` and check its inverse exactly.
+
+    Returns (closed_ok, identity_ok): the closed-form inverse coefficients
+    equal the reversion route's, and f(g(z)) = z through order 3m+2.
+    """
+    fn = MFoldFunction(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                           for _ in range(3)])
+    closed_ok = (fn.inverse_closed_form().as_tuple()
+                 == fn.inverse_by_reversion().as_tuple())
+    f = fn.to_series(3 * m + 2)
+    comp = f.compose(f.revert())
+    identity_ok = all(comp.coeff(n) == (1 if n == 1 else 0)
+                      for n in range(comp.order + 1))
+    return closed_ok, identity_ok
+
+
 def _suite_inverse(quick) -> _Suite:
     suite = _Suite("inverse-coefficients")
     m_values = (1, 2, 3, 4) if quick else (1, 2, 3, 4, 5, 6)
@@ -46,44 +63,27 @@ def _suite_inverse(quick) -> _Suite:
     for m in m_values:
         rng = random.Random(f"selftest/inverse/{m}")
         for i in range(per_m):
-            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(3)]
-            fn = MFoldFunction(m, coeffs)
-            closed = fn.inverse_closed_form().as_tuple()
-            reverted = fn.inverse_by_reversion().as_tuple()
-            suite.check(closed == reverted,
+            closed_ok, identity_ok = check_inversion(rng, m)
+            suite.check(closed_ok,
                         f"closed/reversion mismatch at m={m} sample={i}")
-            f = fn.to_series(3 * m + 2)
-            comp = f.compose(f.revert())
-            ident = all(comp.coeff(n) == (1 if n == 1 else 0)
-                        for n in range(comp.order + 1))
-            suite.check(ident, f"compose identity failed at m={m} sample={i}")
+            suite.check(identity_ok,
+                        f"compose identity failed at m={m} sample={i}")
     return suite
 
 
 def _suite_reductions(quick) -> _Suite:
     suite = _Suite("bound-reductions")
     steps = 4 if quick else 10
-    m_values = range(1, steps + 1)
     alphas = [Fraction(k, steps) for k in range(1, steps + 1)]
     betas = [Fraction(k - 1, steps) for k in range(1, steps + 1)]
-    for m in m_values:
-        for a in alphas:
-            lhs = bounds_mod.bound_alpha_exact(m, a, 1)
-            rhs = bounds_mod.corollary_bounds_exact(6, m=m, alpha=a)
-            suite.check(lhs == rhs, f"alpha reduction failed at m={m}, a={a}")
-        for b in betas:
-            lhs = bounds_mod.bound_beta_exact(m, b, 1)
-            rhs = bounds_mod.corollary_bounds_exact(7, m=m, beta=b)
-            suite.check(lhs == rhs, f"beta reduction failed at m={m}, b={b}")
-    for a in alphas:
-        lhs = bounds_mod.bound_alpha_exact(1, a, 1)
-        rhs = bounds_mod.corollary_bounds_exact(10, alpha=a)
-        suite.check(lhs == rhs, f"one-fold alpha reduction failed at a={a}")
-    for b in betas:
-        lhs = bounds_mod.bound_beta_exact(1, b, 1)
-        rhs = bounds_mod.corollary_bounds_exact(11, beta=b)
-        suite.check(lhs == rhs, f"one-fold beta reduction failed at b={b}")
+    for row in bounds_mod.verify_reductions(range(1, steps + 1), alphas,
+                                            betas):
+        where = f"m={row['m']}, {row['kind']}={row['param']}"
+        suite.check(row["b1_sq_match"] and row["b2_match"],
+                    f"reduction failed at {where}")
+        if "onefold_match" in row:
+            suite.check(row["onefold_match"],
+                        f"one-fold reduction failed at {where}")
     b1, b2 = bounds_mod.bound_alpha(1, 1, 1)
     suite.check(abs(b1 - 2 ** 0.5) < 1e-12 and abs(b2 - 5) < 1e-12,
                 "spot value (m=1, alpha=1, lambda=1) != (sqrt 2, 5)")
@@ -114,23 +114,19 @@ def _suite_derivation(quick) -> _Suite:
     suite = _Suite("derivation-residuals")
     per_cell = 4 if quick else 25
     lam_values = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
+    params = {"alpha": Fraction(1, 2), "beta": Fraction(1, 4)}
     for kind in ("alpha", "beta"):
         for m in (1, 2, 3):
             for lam in lam_values:
+                spec = ClassSpec.from_kind(kind, m, params[kind], lam)
                 for i in range(per_cell):
                     tag = f"selftest/derivation/{kind}/{m}/{lam}/{i}"
                     p, q = constrained_pair(tag, m, 3, backend="exact")
-                    if kind == "alpha":
-                        sol = solve_alpha(p, q, m, Fraction(1, 2), lam)
-                    else:
-                        sol = solve_beta(p, q, m, Fraction(1, 4), lam)
+                    sol = _solve(p, q, spec)
                     suite.check(sol.max_constructed_residual() == 0.0,
                                 f"nonzero constructed residual at {tag}")
-                    spec = sol.spec
                     pr, qr = realizable_pair(tag, spec, backend="exact")
-                    solr = (solve_alpha(pr, qr, m, spec.alpha, lam)
-                            if kind == "alpha"
-                            else solve_beta(pr, qr, m, spec.beta, lam))
+                    solr = _solve(pr, qr, spec)
                     zero = all(complex(v) == 0
                                for v in solr.residuals.values())
                     suite.check(zero, f"realizable residual nonzero at {tag}")

@@ -214,3 +214,43 @@ def test_selftest_catches_injected_sign_fault(monkeypatch):
     assert code == 1
     assert "inverse-coefficients: FAIL" in out
     assert out.endswith("selftest: FAIL\n")
+
+
+def test_membership_order_that_drops_coefficients_exits_2():
+    proc = run_cli("membership", "--coeffs", "1/2,1/3", "--m", "2",
+                   "--order", "1", check=False)
+    assert proc.returncode == 2
+    assert "order >= 5" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_membership_identity_at_order_one_passes():
+    out = run_cli("membership", "--coeffs", "0", "--order", "1",
+                  "--no-timestamp").stdout
+    assert "overall,pass" in out
+
+
+def test_membership_zero_angles_exits_2():
+    proc = run_cli("membership", "--name", "geometric", "--angles", "0",
+                   check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: angles")
+
+
+def test_solve_coeffs_zero_weight_atoms_exit_2():
+    proc = run_cli("solve-coeffs", "--p-atoms", "0@0", "--q-atoms", "0@180",
+                   check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: atom weights")
+    assert "Traceback" not in proc.stderr
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    from bifold import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("no pair")
+
+    monkeypatch.setattr(cli, "realizable_pair", broken)
+    assert cli.main(["solve-coeffs", "--realizable"]) == 3
+    assert "internal error: RuntimeError: no pair" in capsys.readouterr().err

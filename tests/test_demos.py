@@ -1,0 +1,20 @@
+"""Every script in demos/ runs to completion."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 6
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
+def test_demo_exits_zero(script):
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from bifold.caratheodory import CaratheodoryFunction, constrained_pair
-from bifold.derivation import (bound_consistency, forward_verify,
-                               realizable_pair, solve_alpha, solve_beta)
+from bifold.derivation import (bound_consistency, class_constants,
+                               forward_verify, realizable_pair, solve_alpha,
+                               solve_beta, solve_moments)
 from bifold.membership import ClassSpec
 from bifold.series import QComplex
 
@@ -157,3 +158,40 @@ def test_bound_consistency_reports_realizability():
     assert report.realizability == 4.0
     # |a_2| = 2 exceeds sqrt(2): exactly why unrealizable pairs are filtered
     assert report.ratio_a_m1 > 1
+
+
+@pytest.mark.parametrize("spec, t", [
+    (ClassSpec("arg", m=3, lam=F(1, 3), alpha=F(2, 5)), F(2, 5)),
+    (ClassSpec("re", m=3, lam=F(1, 3), beta=F(1, 4)), F(3, 4)),
+])
+def test_class_constants_and_rhs_inverse(spec, t):
+    c = class_constants(spec, exact=True)
+    m, lam = spec.m, spec.lam
+    assert c.k1 == m * (1 + lam) / (2 * lam)
+    assert c.k2 == m * m * (1 - lam) / (4 * lam * lam)
+    assert c.t == t
+    x_m, x_2m = QComplex(F(1, 3), F(-1, 2)), QComplex(F(2, 7), F(1, 9))
+    assert c.rhs_inverse(c.rhs(x_m, x_2m), x_m) == x_2m
+    floats = class_constants(spec, exact=False)
+    assert isinstance(floats.k1, float) and floats.k1 == float(c.k1)
+
+
+@pytest.mark.parametrize("spec", [
+    ClassSpec("arg", m=2, lam=1 / 3, alpha=2 / 3),
+    ClassSpec("re", m=3, lam=0.5, beta=0.25),
+])
+def test_solve_moments_runs_on_arrays(spec):
+    np = pytest.importorskip("numpy")
+    pairs = [constrained_pair(f"arrays/{i}", spec.m, 3) for i in range(20)]
+    moments = np.array([[p.coefficient(1), p.coefficient(2),
+                         q.coefficient(1), q.coefficient(2)]
+                        for p, q in pairs]).T
+    batch = solve_moments(*moments, class_constants(spec, exact=False))
+    for i, (p, q) in enumerate(pairs):
+        one = solve_alpha(p, q, spec.m, spec.alpha, spec.lam) \
+            if spec.kind == "arg" else solve_beta(p, q, spec.m, spec.beta,
+                                                  spec.lam)
+        assert batch.a_m1[i] == pytest.approx(one.a_m1, abs=1e-14)
+        assert batch.a_2m1[i] == pytest.approx(one.a_2m1, abs=1e-14)
+        for key, value in one.residuals.items():
+            assert batch.residuals[key][i] == pytest.approx(value, abs=1e-14)

@@ -170,3 +170,35 @@ def test_order_padding_for_polynomials():
                               order=120, angles=180)
     assert report.order == 120
     assert report.verdict in ("pass", "fail", "inconclusive")
+
+
+def test_order_that_drops_a_coefficient_is_refused():
+    fn = MFoldFunction(2, [F(1, 2), F(1, 3)])
+    spec = ClassSpec("re", m=2, beta=0)
+    with pytest.raises(ValueError, match="order >= 5"):
+        check_membership(fn, spec, order=1, angles=36)
+    with pytest.raises(ValueError, match="order >= 5"):
+        check_membership(fn, spec, order=4, angles=36)
+    assert check_membership(fn, spec, order=5, angles=36).order == 5
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_identity_passes_at_low_orders(order):
+    for spec in (ClassSpec("re", beta=F(1, 2), lam=F(1, 2)),
+                 ClassSpec("arg", alpha=F(1, 3))):
+        report = check_membership(MFoldFunction(1, [F(0)]), spec,
+                                  order=order, angles=36)
+        assert report.verdict == "pass"
+        assert report.f_report.tail == 0 and report.g_report.tail == 0
+
+
+def test_tail_estimate_ignores_the_constant_term():
+    assert tail_estimate(TruncatedSeries.exact([1]), 0.5) == 0
+    assert tail_estimate(TruncatedSeries.exact([1, 0, 0]), 0.5) == 0
+    assert tail_estimate(TruncatedSeries.exact([7, 0, 1]), 0.5) > 0
+
+
+def test_membership_needs_angles():
+    with pytest.raises(ValueError, match="angles"):
+        check_membership(TruncatedSeries.identity(8), ClassSpec("re", beta=0),
+                         angles=0)
