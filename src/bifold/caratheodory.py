@@ -75,11 +75,11 @@ class CaratheodoryFunction:
         else:
             atoms = tuple((float(w), complex(z)) for (w, z) in atoms)
             for w, z in atoms:
-                if w < -1e-15:
+                if _negative(w):
                     raise ValueError("atom weights must be nonnegative")
-                if abs(abs(z) - 1.0) > 1e-12:
+                if _off_circle(z):
                     raise ValueError("atom points must be unimodular")
-            if atoms and abs(sum(w for w, _ in atoms) - 1.0) > 1e-12:
+            if atoms and _off_simplex(w for w, _ in atoms):
                 raise ValueError("atom weights must sum to 1")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "fold", int(fold))
@@ -102,10 +102,7 @@ class CaratheodoryFunction:
             for w, z in self.atoms:
                 acc = acc + w * z ** k
             return acc + acc
-        acc = 0j
-        for w, z in self.atoms:
-            acc += w * _powi(z, k)
-        return acc + acc
+        return _float_moment(self.atoms, k)
 
     def moments(self, depth):
         """[p_m, p_2m, ..., p_{depth*m}]."""
@@ -147,6 +144,45 @@ def _powi(z: complex, k: int) -> complex:
     for _ in range(k):
         acc *= z
     return acc
+
+
+# The float atom checks and moment, written with plain operators so that
+# they run unchanged on one atom set (float weights, complex points) and on
+# a batch of them (weight arrays, ComplexBatch points, one entry per set).
+
+
+def _negative(w):
+    return w < -1e-15
+
+
+def _off_circle(z):
+    return abs(abs(z) - 1.0) > 1e-12
+
+
+def _off_simplex(weights):
+    return abs(sum(weights) - 1.0) > 1e-12
+
+
+def _float_faults(atoms):
+    """Where float atoms fail a check of ``CaratheodoryFunction``.
+
+    On a batch, one flag per set.  The constructor stays the home of the
+    error messages: rebuild a flagged set to raise its error.
+    """
+    bad = False
+    for w, z in atoms:
+        bad = bad | _negative(w) | _off_circle(z)
+    if atoms:
+        bad = bad | _off_simplex(w for w, _ in atoms)
+    return bad
+
+
+def _float_moment(atoms, k):
+    """2 sum_j w_j zeta_j^k over float atoms, summed in atom order."""
+    acc = 0j
+    for w, z in atoms:
+        acc += w * _powi(z, k)
+    return acc + acc
 
 
 # ----------------------------------------------------------------------
@@ -249,17 +285,8 @@ def _tail_atoms(rng, count, s, backend):
     return atoms
 
 
-def constrained_pair(seed, m, atom_count=3, backend=FLOAT, tail_pairs=None):
-    """A seeded (p, q) pair whose first coefficients cancel: p_m = -q_m.
-
-    The two functions share an antisymmetric core: identical weights with
-    points zeta on the p side and -zeta on the q side, which negates the
-    first atom moment termwise (sign flips are exact in both backends, so
-    the constraint holds with zero residual, floats included).  Each side
-    additionally carries its own self-cancelling tail pairs, which add
-    nothing to the first moment but decouple the second ones, so p_2m and
-    q_2m stay independent and the pair ensemble is not artificially thin.
-    """
+def _pair_atoms(seed, m, atom_count, backend, tail_pairs=None):
+    """The seeded atom lists (p_atoms, q_atoms) of ``constrained_pair``."""
     if atom_count < 1:
         raise ValueError("atom count must be >= 1")
     if tail_pairs is None:
@@ -273,6 +300,21 @@ def constrained_pair(seed, m, atom_count=3, backend=FLOAT, tail_pairs=None):
     for w, zeta in core:
         p_atoms.append((w, zeta))
         q_atoms.append((w, -zeta))
+    return p_atoms, q_atoms
+
+
+def constrained_pair(seed, m, atom_count=3, backend=FLOAT, tail_pairs=None):
+    """A seeded (p, q) pair whose first coefficients cancel: p_m = -q_m.
+
+    The two functions share an antisymmetric core: identical weights with
+    points zeta on the p side and -zeta on the q side, which negates the
+    first atom moment termwise (sign flips are exact in both backends, so
+    the constraint holds with zero residual, floats included).  Each side
+    additionally carries its own self-cancelling tail pairs, which add
+    nothing to the first moment but decouple the second ones, so p_2m and
+    q_2m stay independent and the pair ensemble is not artificially thin.
+    """
+    p_atoms, q_atoms = _pair_atoms(seed, m, atom_count, backend, tail_pairs)
     p = CaratheodoryFunction(p_atoms, fold=m, backend=backend)
     q = CaratheodoryFunction(q_atoms, fold=m, backend=backend)
     return p, q

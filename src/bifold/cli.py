@@ -94,6 +94,13 @@ def _parse_seed(value):
     return int(text) if text.lstrip("-").isdigit() else text
 
 
+def _parse_count(value, flag) -> int:
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"{flag} must be >= 0, got {count}")
+    return count
+
+
 def _parse_list(text, conv):
     if isinstance(text, (list, tuple)):
         return [conv(x) for x in text]
@@ -203,16 +210,17 @@ def cmd_verify_inversion(args):
     args = _apply_config(args, {
         "m": "1,2,3,4,5,6", "samples": 25, "seed": 0})
 
+    samples = _parse_count(args.samples, "--samples")
     rows = []
     failures = 0
     for m in _parse_list(args.m, int):
         rng = random.Random(f"verify-inversion/{args.seed}/{m}")
-        results = [check_inversion(rng, m) for _ in range(int(args.samples))]
+        results = [check_inversion(rng, m) for _ in range(samples)]
         mismatches = sum(not closed_ok for closed_ok, _ in results)
         identity_bad = sum(not identity_ok for _, identity_ok in results)
         failures += mismatches + identity_bad
         rows.append({
-            "m": m, "samples": int(args.samples),
+            "m": m, "samples": samples,
             "closed_form_mismatches": mismatches,
             "identity_failures": identity_bad,
             "ok": mismatches == 0 and identity_bad == 0})
@@ -319,7 +327,7 @@ def cmd_caratheodory_sample(args):
     depth = int(args.depth)
     rows = []
     bad = 0
-    for i in range(int(args.count)):
+    for i in range(_parse_count(args.count, "--count")):
         tag = f"{args.seed}/carah/{i}"
         fn = (sample_exact(tag, int(args.atoms), int(args.m))
               if args.exact else sample(tag, int(args.atoms), int(args.m)))

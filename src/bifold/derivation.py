@@ -31,8 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .caratheodory import (CaratheodoryFunction, sample_exact, sample,
-                           with_moments, zero_moment_base, _subseed)
+                           with_moments, zero_moment_base, _float_faults,
+                           _float_moment, _subseed)
 from .membership import ClassSpec, phi
 from .series import EXACT, FLOAT, TruncatedSeries
 
@@ -185,8 +188,17 @@ def solve_moments(p_m, p_2m, q_m, q_2m,
         q_2m=q_2m, residuals=residuals, backend=EXACT if c.exact else FLOAT)
 
 
+_GAP_TOL = 1e-12  # float moment constraint: |p_m + q_m| <= tol max(1, |p_m|)
+
+
+def _gap_too_large(p_m, q_m, tol):
+    """The float moment-constraint check; on a batch, one flag per pair."""
+    gap = abs(p_m + q_m)
+    return (gap > tol) & (gap > tol * abs(p_m))
+
+
 def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
-           spec: ClassSpec, tol=1e-12) -> CoefficientSolution:
+           spec: ClassSpec, tol=_GAP_TOL) -> CoefficientSolution:
     if p.backend != q.backend:
         raise ValueError("p and q must share a backend")
     if p.fold != spec.m or q.fold != spec.m:
@@ -195,21 +207,45 @@ def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
     p_m, p_2m = p.coefficient(1), p.coefficient(2)
     q_m, q_2m = q.coefficient(1), q.coefficient(2)
 
-    gap = p_m + q_m
     if constants.exact:
+        gap = p_m + q_m
         if gap != 0:
             raise ValueError(f"moment constraint violated: p_m + q_m = {gap!r}")
-    elif abs(gap) > tol * max(1.0, abs(p_m)):
-        raise ValueError(f"moment constraint violated: |p_m + q_m| = {abs(gap)}")
+    elif _gap_too_large(p_m, q_m, tol):
+        raise ValueError(
+            f"moment constraint violated: |p_m + q_m| = {abs(p_m + q_m)}")
     return solve_moments(p_m, p_2m, q_m, q_2m, constants)
 
 
-def solve_alpha(p, q, m, alpha, lam, tol=1e-12) -> CoefficientSolution:
+def _solve_batch(p_atoms, q_atoms, constants) -> CoefficientSolution:
+    """``_solve`` for a batch of float pairs, bit for bit.
+
+    ``p_atoms`` and ``q_atoms`` hold the pairs' atoms by position: per
+    atom, a float64 weight array and ComplexBatch points with one entry per
+    pair.  The checks, the moments and ``solve_moments`` run on the whole
+    batch; the solution holds ComplexBatch values.  A pair that fails a
+    check is rebuilt and solved alone, so the first one raises the error
+    ``CaratheodoryFunction`` or ``_solve`` raises for it.
+    """
+    spec = constants.spec
+    p_m, p_2m = _float_moment(p_atoms, 1), _float_moment(p_atoms, 2)
+    q_m, q_2m = _float_moment(q_atoms, 1), _float_moment(q_atoms, 2)
+    bad = (_float_faults(p_atoms) | _float_faults(q_atoms)
+           | _gap_too_large(p_m, q_m, _GAP_TOL))
+    for i in np.flatnonzero(bad):
+        p, q = (CaratheodoryFunction(
+            [(w[i], complex(z.re[i], z.im[i])) for w, z in atoms],
+            fold=spec.m, backend=FLOAT) for atoms in (p_atoms, q_atoms))
+        _solve(p, q, spec)
+    return solve_moments(p_m, p_2m, q_m, q_2m, constants)
+
+
+def solve_alpha(p, q, m, alpha, lam, tol=_GAP_TOL) -> CoefficientSolution:
     """Solve the arg-type coefficient system for a constrained pair."""
     return _solve(p, q, ClassSpec("arg", m=m, lam=lam, alpha=alpha), tol=tol)
 
 
-def solve_beta(p, q, m, beta, lam, tol=1e-12) -> CoefficientSolution:
+def solve_beta(p, q, m, beta, lam, tol=_GAP_TOL) -> CoefficientSolution:
     """Solve the re-type coefficient system for a constrained pair."""
     return _solve(p, q, ClassSpec("re", m=m, lam=lam, beta=beta), tol=tol)
 

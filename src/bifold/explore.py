@@ -9,6 +9,15 @@ to them so the filtering choice hides nothing.  Random pairs almost never
 land on the realizability manifold, so cells can optionally mix in
 constructed realizable pairs to keep the filtered statistics populated.
 
+A cell's constrained samples run in blocks, bit for bit as a loop of
+``constrained_pair`` -> ``_solve`` would: each sample is drawn alone from
+its own seeded ``random.Random`` (the same tags, the same call order), and
+the block's checks, moments and ``solve_moments`` then run on
+``series.ComplexBatch`` arrays, which round exactly as Python's ``complex``
+does.  Every maximum and every ``argmax_seed`` therefore equals the
+one-pair-at-a-time result, and ``constrained_pair(argmax_seed, ...)``
+(or ``realizable_pair`` for a realizable tag) replays it exactly.
+
 The hill climber perturbs atom angles and weights of the p side
 coordinate-by-coordinate, accepting improvements of |a_{m+1}|.  Because the
 first coefficient is linear in p_m and |p_m| <= 2 is tight for a single
@@ -23,15 +32,25 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import bounds as bounds_mod
-from .caratheodory import (CaratheodoryFunction, _subseed, constrained_pair)
-from .derivation import realizable_pair, _solve
+from .caratheodory import (CaratheodoryFunction, _pair_atoms, _subseed,
+                           constrained_pair)
+from .derivation import (class_constants, realizable_pair, _solve,
+                         _solve_batch)
 from .membership import ClassSpec
+from .series import FLOAT, ComplexBatch
 
 __all__ = ["SearchRecord", "sweep_cell", "sweep", "hill_climb",
            "ClimbRecord", "DEFAULT_REALIZABILITY_THRESHOLD"]
 
 DEFAULT_REALIZABILITY_THRESHOLD = 1e-8
+# Constrained samples are drawn, checked and solved this many at a time, so
+# memory stays flat however many samples a cell takes.  The per-sample draw
+# dominates a block's cost, so larger blocks save little time, and they
+# raised peak memory measurably (heap fragmentation from block-sized arrays).
+_BLOCK = 256
 
 
 @dataclass
@@ -77,37 +96,53 @@ def sweep_cell(kind, m, param, lam, samples, seed,
     system exactly (well, to float solve tolerance) so that the filtered
     statistics are not vacuously empty.
     """
+    for name, count in (("samples", samples), ("realizable", realizable)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     spec = ClassSpec.from_kind(kind, m, param, lam)
+    constants = class_constants(spec, exact=False)
     lam_f = float(lam)
     param_f = float(param)
     best = {"f1": 0.0, "f2": 0.0, "u1": 0.0, "u2": 0.0,
             "fseed": "", "useed": ""}
     count_filtered = 0
 
-    def record(solution, tag):
-        nonlocal count_filtered
-        a1 = abs(complex(solution.a_m1))
-        a2 = abs(complex(solution.a_2m1))
-        if a1 > best["u1"]:
-            best["u1"] = a1
-            best["useed"] = tag
-        best["u2"] = max(best["u2"], a2)
-        if solution.realizability <= threshold:
-            count_filtered += 1
-            if a1 > best["f1"]:
-                best["f1"] = a1
-                best["fseed"] = tag
-            best["f2"] = max(best["f2"], a2)
+    def record(a1, a2, score, tags):
+        """Fold one batch, in sample order, into the running maxima.
 
-    for i in range(samples):
-        tag = _subseed(seed, kind, m, param_f, lam_f, i)
-        p, q = constrained_pair(tag, m, atom_count, backend="float")
-        record(_solve(p, q, spec), tag)
+        An argmax moves only to a strictly greater value, so the first
+        sample attaining a maximum keeps it, as in a one-by-one loop.
+        """
+        nonlocal count_filtered
+        i = int(np.argmax(a1))
+        if a1[i] > best["u1"]:
+            best["u1"] = float(a1[i])
+            best["useed"] = tags[i]
+        best["u2"] = max(best["u2"], float(np.max(a2)))
+        kept = score <= threshold
+        if kept.any():
+            count_filtered += int(np.count_nonzero(kept))
+            a1_kept = np.where(kept, a1, -1.0)
+            i = int(np.argmax(a1_kept))
+            if a1_kept[i] > best["f1"]:
+                best["f1"] = float(a1_kept[i])
+                best["fseed"] = tags[i]
+            best["f2"] = max(best["f2"], float(np.max(a2[kept])))
+
+    for start in range(0, samples, _BLOCK):
+        tags = [_subseed(seed, kind, m, param_f, lam_f, i)
+                for i in range(start, min(start + _BLOCK, samples))]
+        solution = _solve_batch(*_draw_block(tags, m, atom_count), constants)
+        record(abs(solution.a_m1), abs(solution.a_2m1),
+               abs(solution.residuals["addition"]), tags)
     for i in range(realizable):
         tag = _subseed(seed, kind, m, param_f, lam_f, "realizable", i)
         p, q = realizable_pair(tag, spec, backend="float",
                                atom_count=atom_count)
-        record(_solve(p, q, spec), tag)
+        solution = _solve(p, q, spec)
+        record(np.array([abs(complex(solution.a_m1))]),
+               np.array([abs(complex(solution.a_2m1))]),
+               np.array([solution.realizability]), [tag])
 
     b1, b2 = spec.bounds()
     return SearchRecord(
@@ -119,6 +154,24 @@ def sweep_cell(kind, m, param, lam, samples, seed,
         ceiling=bounds_mod.structural_ceiling(m, param, lam, kind),
         argmax_seed=best["fseed"], argmax_seed_unfiltered=best["useed"],
         threshold=threshold)
+
+
+def _draw_block(tags, m, atom_count):
+    """The atoms of ``constrained_pair(tag, m, atom_count)`` for each tag.
+
+    Each tag is drawn alone, with the pair recipe's own helper, and written
+    straight into preallocated arrays.  Returns (p_atoms, q_atoms) by atom
+    position: a weight array and ComplexBatch points, one entry per tag.
+    """
+    for i, tag in enumerate(tags):
+        p_atoms, q_atoms = _pair_atoms(tag, m, atom_count, FLOAT)
+        if i == 0:
+            shape = (2, len(p_atoms), len(tags))
+            weights, points = np.empty(shape), np.empty(shape, dtype=complex)
+        weights[0, :, i], points[0, :, i] = zip(*p_atoms)
+        weights[1, :, i], points[1, :, i] = zip(*q_atoms)
+    return tuple([(w, ComplexBatch(z.real, z.imag)) for w, z in zip(ws, zs)]
+                 for ws, zs in zip(weights, points))
 
 
 def sweep(kinds, m_values, params_by_kind, lam_values, samples, seed,
@@ -186,6 +239,8 @@ def hill_climb(kind, m, param, lam, seed, iterations,
     Deterministic for a fixed seed; iterations=0 returns the evaluated
     start unchanged.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     spec = ClassSpec.from_kind(kind, m, param, lam)
     rng = random.Random(_subseed(seed, "hillclimb", kind, m, param, lam))
     if isinstance(start, CaratheodoryFunction):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -190,10 +191,18 @@ _SUITES = (
 
 
 def run_selftest(quick=False, stream=None) -> int:
+    """Run every suite and report to ``stream`` (default stdout).
+
+    Each suite's wall time goes to stderr as ``<suite>: <seconds> s``, so
+    the report itself stays byte-identical from run to run.
+    """
     stream = stream or sys.stdout
     failed = False
     for build in _SUITES:
+        start = time.perf_counter()
         suite = build(quick)
+        sys.stderr.write(
+            f"{suite.name}: {time.perf_counter() - start:.3f} s\n")
         if suite.ok:
             stream.write(f"{suite.name}: PASS ({suite.checks} checks)\n")
         else:

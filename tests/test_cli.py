@@ -254,3 +254,29 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "realizable_pair", broken)
     assert cli.main(["solve-coeffs", "--realizable"]) == 3
     assert "internal error: RuntimeError: no pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--kind", "alpha", "--m", "1", "--samples", "-1"),
+    ("search", "--kind", "alpha", "--m", "1", "--realizable", "-2"),
+    ("search", "--mode", "climb", "--kind", "alpha", "--m", "1",
+     "--iterations", "-3"),
+    ("verify-inversion", "--samples", "-2"),
+    ("caratheodory-sample", "--count", "-1"),
+], ids=["search-samples", "search-realizable", "climb-iterations",
+        "verify-inversion-samples", "caratheodory-sample-count"])
+def test_negative_counts_exit_2(argv):
+    proc = run_cli(*argv, "--no-timestamp", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "must be >= 0" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_selftest_times_each_suite_on_stderr():
+    proc = run_cli("selftest", "--quick")
+    suites = [line.split(":")[0] for line in proc.stdout.splitlines()[:-1]]
+    timed = [line.rsplit(": ", 1) for line in proc.stderr.splitlines()]
+    assert [name for name, _ in timed] == suites
+    assert all(seconds.endswith(" s") and float(seconds[:-2]) >= 0
+               for _, seconds in timed)

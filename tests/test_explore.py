@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from bifold.caratheodory import CaratheodoryFunction, constrained_pair
+from bifold import caratheodory, explore
+from bifold.bounds import structural_ceiling
+from bifold.caratheodory import (CaratheodoryFunction, _subseed,
+                                 constrained_pair)
 from bifold.derivation import _solve, realizable_pair
-from bifold.explore import hill_climb, sweep, sweep_cell
+from bifold.explore import SearchRecord, hill_climb, sweep, sweep_cell
 from bifold.membership import ClassSpec
 
 F = Fraction
@@ -107,3 +110,132 @@ def test_climb_beats_plain_sweep_budget():
     swept = sweep_cell("alpha", 1, 1.0, 1.0, 500, seed=23)
     climbed = hill_climb("alpha", 1, 1.0, 1.0, seed=23, iterations=500)
     assert climbed.best_value >= swept.max_a_m1_unfiltered
+
+
+# ----------------------------------------------------------------------
+# the batched sweep against the one-pair-at-a-time loop
+
+
+def reference_sweep_cell(kind, m, param, lam, samples, seed, atom_count=3,
+                         realizable=0,
+                         threshold=explore.DEFAULT_REALIZABILITY_THRESHOLD):
+    """sweep_cell as a plain loop: constrained_pair -> _solve -> record."""
+    spec = ClassSpec.from_kind(kind, m, param, lam)
+    lam_f, param_f = float(lam), float(param)
+    best = {"f1": 0.0, "f2": 0.0, "u1": 0.0, "u2": 0.0,
+            "fseed": "", "useed": ""}
+    count_filtered = 0
+
+    def record(solution, tag):
+        nonlocal count_filtered
+        a1 = abs(complex(solution.a_m1))
+        a2 = abs(complex(solution.a_2m1))
+        if a1 > best["u1"]:
+            best["u1"] = a1
+            best["useed"] = tag
+        best["u2"] = max(best["u2"], a2)
+        if solution.realizability <= threshold:
+            count_filtered += 1
+            if a1 > best["f1"]:
+                best["f1"] = a1
+                best["fseed"] = tag
+            best["f2"] = max(best["f2"], a2)
+
+    for i in range(samples):
+        tag = _subseed(seed, kind, m, param_f, lam_f, i)
+        p, q = constrained_pair(tag, m, atom_count, backend="float")
+        record(_solve(p, q, spec), tag)
+    for i in range(realizable):
+        tag = _subseed(seed, kind, m, param_f, lam_f, "realizable", i)
+        p, q = realizable_pair(tag, spec, backend="float",
+                               atom_count=atom_count)
+        record(_solve(p, q, spec), tag)
+
+    b1, b2 = spec.bounds()
+    return SearchRecord(
+        kind=kind, m=m, param=param_f, lam=lam_f,
+        samples=samples + realizable, filtered_count=count_filtered,
+        max_a_m1=best["f1"], max_a_2m1=best["f2"],
+        max_a_m1_unfiltered=best["u1"], max_a_2m1_unfiltered=best["u2"],
+        bound_a_m1=b1, bound_a_2m1=b2,
+        ceiling=structural_ceiling(m, param, lam, kind),
+        argmax_seed=best["fseed"], argmax_seed_unfiltered=best["useed"],
+        threshold=threshold)
+
+
+def batched_cases():
+    """All four sample counts for every atom count, with the realizable
+    counts, thresholds and seed types cycling through the cells."""
+    samples = (0, 1, 37, explore._BLOCK + 1)
+    realizable = (0, 3)
+    thresholds = (1e-14, 1e-8, 1e-3)
+    seeds = (4, "batched")
+    for atom_count in range(1, 6):
+        for j in range(4):
+            k = atom_count + j
+            yield (atom_count, samples[j], realizable[k % 2],
+                   thresholds[k % 3], seeds[(k // 2) % 2])
+
+
+@pytest.mark.parametrize("kind,param", [("alpha", 0.5), ("beta", 0.25)])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_batched_sweep_equals_one_pair_at_a_time(kind, param, m):
+    for atom_count, samples, realizable, threshold, seed in batched_cases():
+        args = (kind, m, param, 0.5, samples, seed)
+        kwargs = dict(atom_count=atom_count, realizable=realizable,
+                      threshold=threshold)
+        # dataclass equality: every float bit and every tag
+        assert sweep_cell(*args, **kwargs) == \
+            reference_sweep_cell(*args, **kwargs), (args, kwargs)
+
+
+def test_filtered_argmax_seed_reproduces_maximum():
+    rec = sweep_cell("alpha", 2, 0.5, 0.25, 300, seed=3, realizable=6)
+    spec = ClassSpec("arg", m=2, lam=0.25, alpha=0.5)
+    assert "realizable" in rec.argmax_seed
+    p, q = realizable_pair(rec.argmax_seed, spec, backend="float")
+    sol = _solve(p, q, spec)
+    assert abs(complex(sol.a_m1)) == rec.max_a_m1
+    assert sol.realizability <= rec.threshold
+
+
+def _broken_tails(fault):
+    """A _tail_atoms that breaks some pairs the way ``fault`` names."""
+    original = caratheodory._tail_atoms
+
+    def tails(rng, count, s, backend):
+        atoms = original(rng, count, s, backend)
+        (h, xi), _ = atoms[:2]
+        if xi.real > 0.95:
+            # a tail that no longer cancels, or a point off the circle
+            atoms[1] = (h, xi * xi) if fault == "gap" else (h, 1.5 * xi)
+        return atoms
+    return tails
+
+
+@pytest.mark.parametrize("fault", ["gap", "circle"])
+def test_batched_sweep_raises_the_first_pair_error(monkeypatch, fault):
+    monkeypatch.setattr(caratheodory, "_tail_atoms", _broken_tails(fault))
+    cell = ("beta", 2, 0.25, 0.5)
+    assert reference_sweep_cell(*cell, 5, seed=5).samples == 5
+    with pytest.raises(ValueError) as expected:
+        reference_sweep_cell(*cell, 200, seed=5)
+    with pytest.raises(ValueError) as batched:
+        sweep_cell(*cell, 200, seed=5)
+    # a gap message carries the size of the first broken pair's gap
+    assert str(batched.value) == str(expected.value)
+
+
+NEGATIVE_COUNTS = {
+    "samples": lambda: sweep_cell("alpha", 1, 1.0, 1.0, -1, seed=0),
+    "realizable": lambda: sweep_cell("alpha", 1, 1.0, 1.0, 10, seed=0,
+                                     realizable=-2),
+    "iterations": lambda: hill_climb("alpha", 1, 1.0, 1.0, seed=0,
+                                     iterations=-3),
+}
+
+
+@pytest.mark.parametrize("count", sorted(NEGATIVE_COUNTS))
+def test_negative_counts_are_refused(count):
+    with pytest.raises(ValueError, match=f"^{count} must be >= 0"):
+        NEGATIVE_COUNTS[count]()

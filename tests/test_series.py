@@ -1,11 +1,15 @@
 """Truncated-series arithmetic against independent oracles."""
 
+import operator
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bifold.series import QComplex, TruncatedSeries, geometric_series
+from bifold.series import (ComplexBatch, QComplex, TruncatedSeries,
+                           geometric_series)
 
 S = TruncatedSeries.exact
 
@@ -308,3 +312,61 @@ def test_qcomplex_in_series():
     sq = s * s
     assert sq.coeff(1) == QComplex(0, 2)
     assert sq.coeff(2) == QComplex(0)  # 2*(1/2) + i^2 = 0
+
+
+# ----------------------------------------------------------------------
+# complex float batches
+
+
+def bits(z):
+    """(real, imaginary) as hex strings: equal exactly when the bits are."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def random_complexes(rng, count):
+    def part():
+        return rng.choice([0.0, -0.0, 1.0, rng.uniform(-2, 2),
+                           rng.uniform(-2, 2) * 10.0 ** rng.randint(-9, 9)])
+    return [complex(part(), part()) for _ in range(count)]
+
+
+def as_batch(values):
+    return ComplexBatch(np.array([z.real for z in values]),
+                        np.array([z.imag for z in values]))
+
+
+def entries(batch):
+    return [complex(r, i) for r, i in zip(batch.re, batch.im)]
+
+
+BATCH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+@pytest.mark.parametrize("op", sorted(BATCH_OPS))
+def test_batch_arithmetic_matches_complex_bit_for_bit(op):
+    fn = BATCH_OPS[op]
+    rng = random.Random(f"batch/{op}")
+    a, b = random_complexes(rng, 400), random_complexes(rng, 400)
+    x, y = as_batch(a), as_batch(b)
+    cases = [(fn(x, y), [fn(s, t) for s, t in zip(a, b)])]
+    for scalar in (0, 3, -2, 0.0, -0.0, 0.37, -1e-7, 2 - 0.5j, -0.0j):
+        cases.append((fn(x, scalar), [fn(s, scalar) for s in a]))
+        cases.append((fn(scalar, x), [fn(scalar, s) for s in a]))
+    weights = np.array([rng.uniform(0, 1) for _ in a])  # a real array
+    cases.append((fn(weights, x),
+                  [fn(float(w), s) for w, s in zip(weights, a)]))
+    for batch, expected in cases:
+        assert [bits(z) for z in entries(batch)] == [bits(z) for z in expected]
+
+
+def test_batch_division_by_a_real_and_abs_match_complex():
+    rng = random.Random("batch/divide")
+    a = random_complexes(rng, 400)
+    x = as_batch(a)
+    for divisor in (1, -3, 2.0, 0.1, -7.25, 4 * 0.3):
+        assert [bits(z) for z in entries(x / divisor)] == \
+            [bits(s / divisor) for s in a]
+    assert [v.hex() for v in abs(x)] == [abs(s).hex() for s in a]
+    with pytest.raises(ZeroDivisionError):
+        x / 0.0
