@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import EXACT, FLOAT, QComplex, TruncatedSeries
+from .series import EXACT, FLOAT, QComplex, TruncatedSeries, scalar_types
 
 __all__ = [
     "CaratheodoryFunction",
@@ -97,12 +97,7 @@ class CaratheodoryFunction:
         """p_{km} = 2 sum_j w_j zeta_j^k (the k-th atom moment, doubled)."""
         if k < 1:
             raise IndexError("coefficient index must be >= 1")
-        if self.backend == EXACT:
-            acc = QComplex(0)
-            for w, z in self.atoms:
-                acc = acc + w * z ** k
-            return acc + acc
-        return _float_moment(self.atoms, k)
+        return _moment(self.atoms, k, scalar_types(self.backend)[1])
 
     def moments(self, depth):
         """[p_m, p_2m, ..., p_{depth*m}]."""
@@ -111,7 +106,7 @@ class CaratheodoryFunction:
     def expand(self, order) -> TruncatedSeries:
         """Series 1 + p_m z^m + p_2m z^2m + ... truncated at ``order``."""
         m = self.fold
-        entries = {0: QComplex(1) if self.backend == EXACT else 1 + 0j}
+        entries = {0: scalar_types(self.backend)[1](1)}
         for k in range(1, order // m + 1):
             entries[k * m] = self.coefficient(k)
         return TruncatedSeries.from_dict(entries, order, backend=self.backend)
@@ -138,17 +133,26 @@ class CaratheodoryFunction:
                 f"fold={self.fold}, backend={self.backend!r})")
 
 
-def _powi(z: complex, k: int) -> complex:
-    """Iterated multiplication: keeps sign symmetries bit-exact in floats."""
-    acc = 1 + 0j
-    for _ in range(k):
-        acc *= z
-    return acc
+def _moment(atoms, k, cplx):
+    """2 sum_j w_j zeta_j^k, summed in atom order, in the complex type cplx.
+
+    zeta^k is an iterated product, which keeps sign symmetries bit-exact in
+    floats.  Written with plain operators, so on floats (cplx = complex) it
+    also runs on a batch of atom sets: weight arrays and ComplexBatch
+    points, one entry per set.
+    """
+    acc = cplx(0)
+    for w, z in atoms:
+        zk = cplx(1)
+        for _ in range(k):
+            zk = zk * z
+        acc = acc + w * zk
+    return acc + acc
 
 
-# The float atom checks and moment, written with plain operators so that
-# they run unchanged on one atom set (float weights, complex points) and on
-# a batch of them (weight arrays, ComplexBatch points, one entry per set).
+# The float atom checks, written with plain operators so that they run
+# unchanged on one atom set (float weights, complex points) and on a batch
+# of them (weight arrays, ComplexBatch points, one entry per set).
 
 
 def _negative(w):
@@ -175,14 +179,6 @@ def _float_faults(atoms):
     if atoms:
         bad = bad | _off_simplex(w for w, _ in atoms)
     return bad
-
-
-def _float_moment(atoms, k):
-    """2 sum_j w_j zeta_j^k over float atoms, summed in atom order."""
-    acc = 0j
-    for w, z in atoms:
-        acc += w * _powi(z, k)
-    return acc + acc
 
 
 # ----------------------------------------------------------------------
@@ -292,8 +288,8 @@ def _pair_atoms(seed, m, atom_count, backend, tail_pairs=None):
     if tail_pairs is None:
         tail_pairs = max(1, atom_count // 2)
     rng = random.Random(_subseed(seed, m, backend, "pair"))
-    scalar = Fraction if backend == EXACT else float
-    s = scalar(rng.randint(1, 3)) / 4  # tail weight share
+    real, _ = scalar_types(backend)
+    s = real(rng.randint(1, 3)) / 4  # tail weight share
     core = _draw_atoms(rng, atom_count, backend, scale=1 - s)
     p_atoms = _tail_atoms(rng, tail_pairs, s, backend)
     q_atoms = _tail_atoms(rng, tail_pairs, s, backend)

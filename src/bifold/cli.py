@@ -19,6 +19,7 @@ import cmath
 import csv
 import io
 import json
+import math
 import random
 import sys
 import traceback
@@ -111,9 +112,15 @@ def _parse_atoms(text):
     """Atoms as "weight@degrees" pairs separated by commas."""
     atoms = []
     for part in str(text).split(","):
-        w, _, deg = part.partition("@")
-        angle = float(deg) * cmath.pi / 180.0
-        atoms.append((float(w), cmath.exp(1j * angle)))
+        w, at, deg = part.partition("@")
+        try:
+            weight, angle = float(w), float(deg) * cmath.pi / 180.0
+        except ValueError:
+            weight = angle = math.nan
+        if not (at and math.isfinite(weight) and math.isfinite(angle)):
+            raise ValueError(f"atom {part!r} in {text!r} is not of the form "
+                             "weight@degrees with finite numbers")
+        atoms.append((weight, cmath.exp(1j * angle)))
     total = sum(w for w, _ in atoms)
     if not total > 0:
         raise ValueError(f"atom weights in {text!r} must have a positive sum")
@@ -285,7 +292,12 @@ def cmd_solve_coeffs(args):
     lam = _parse_fraction(args.lam)
     param = _parse_fraction(args.alpha if args.kind == "alpha" else args.beta)
     spec = ClassSpec.from_kind(args.kind, m, float(param), float(lam))
-    if args.p_atoms and args.q_atoms:
+    if bool(args.p_atoms) != bool(args.q_atoms):
+        raise ValueError("--p-atoms and --q-atoms must be given together")
+    if args.p_atoms and args.realizable:
+        raise ValueError("--realizable builds its own pair; it cannot be "
+                         "combined with --p-atoms and --q-atoms")
+    if args.p_atoms:
         p = CaratheodoryFunction(_parse_atoms(args.p_atoms), fold=m,
                                  backend="float")
         q = CaratheodoryFunction(_parse_atoms(args.q_atoms), fold=m,
@@ -492,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default=None)
     p.add_argument("--atoms", default=None)
     p.add_argument("--p-atoms", default=None,
-                   help='explicit atoms "w@deg,w@deg"')
+                   help='explicit atoms "w@deg,w@deg" (with --q-atoms)')
     p.add_argument("--q-atoms", default=None)
     p.add_argument("--realizable", action="store_true", default=None)
     _add_common(p)

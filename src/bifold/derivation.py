@@ -33,11 +33,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .caratheodory import (CaratheodoryFunction, sample_exact, sample,
-                           with_moments, zero_moment_base, _float_faults,
-                           _float_moment, _subseed)
+from .caratheodory import (CaratheodoryFunction, with_moments,
+                           zero_moment_base, _float_faults, _moment, _sample,
+                           _subseed)
 from .membership import ClassSpec, phi
-from .series import EXACT, FLOAT, TruncatedSeries
+from .series import EXACT, FLOAT, TruncatedSeries, scalar_types
 
 __all__ = [
     "CoefficientSolution",
@@ -138,8 +138,8 @@ def class_constants(spec: ClassSpec, exact: bool) -> ClassConstants:
                 raise TypeError(
                     f"exact-backend derivation needs rational parameters; "
                     f"{name}={value!r} is not")
-    scalar = Fraction if exact else float
-    lam, param, m = scalar(spec.lam), scalar(spec.param), spec.m
+    real, _ = scalar_types(EXACT if exact else FLOAT)
+    lam, param, m = real(spec.lam), real(spec.param), spec.m
     if spec.kind == "arg":
         t, square = param, param * (param - 1) / 2
     else:
@@ -228,8 +228,8 @@ def _solve_batch(p_atoms, q_atoms, constants) -> CoefficientSolution:
     ``CaratheodoryFunction`` or ``_solve`` raises for it.
     """
     spec = constants.spec
-    p_m, p_2m = _float_moment(p_atoms, 1), _float_moment(p_atoms, 2)
-    q_m, q_2m = _float_moment(q_atoms, 1), _float_moment(q_atoms, 2)
+    p_m, p_2m = _moment(p_atoms, 1, complex), _moment(p_atoms, 2, complex)
+    q_m, q_2m = _moment(q_atoms, 1, complex), _moment(q_atoms, 2, complex)
     bad = (_float_faults(p_atoms) | _float_faults(q_atoms)
            | _gap_too_large(p_m, q_m, _GAP_TOL))
     for i in np.flatnonzero(bad):
@@ -382,13 +382,13 @@ def realizable_pair(seed, spec: ClassSpec, backend=EXACT, atom_count=3):
     are honest class-member candidates at coefficient depth 2m, so the
     bound ratios apply to them with no filtering caveat.
     """
-    exact = backend == EXACT
-    c = class_constants(spec, exact)
+    c = class_constants(spec, backend == EXACT)
     m = spec.m
-    sampler = sample_exact if exact else sample
-    raw = sampler(_subseed(seed, "realizable", spec.kind, m), atom_count, m)
+    real, _ = scalar_types(backend)
+    raw = _sample(_subseed(seed, "realizable", spec.kind, m), atom_count, m,
+                  backend)
     base = zero_moment_base(fold=m, backend=backend)
-    eps = Fraction(1, 4) if exact else 0.25
+    eps = real(1) / 4
     for _ in range(12):
         atoms = [(w * eps, z) for (w, z) in raw.atoms]
         atoms += [(w * (1 - eps), z) for (w, z) in base.atoms]

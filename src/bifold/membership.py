@@ -24,12 +24,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from .series import EXACT, TruncatedSeries
+from .series import TruncatedSeries, scalar_types
 
 __all__ = [
     "ClassSpec",
@@ -119,13 +118,8 @@ def phi(f: TruncatedSeries, lam) -> TruncatedSeries:
     ratio = f.derivative().shift_up(1) / f  # z f'/f, constant term 1
     if lam == 1:
         return ratio
-    if f.backend == EXACT:
-        exponent = 1 / Fraction(lam)
-        half = Fraction(1, 2)
-    else:
-        exponent = 1.0 / float(lam)
-        half = 0.5
-    return (ratio + ratio.pow(exponent)) * half
+    real, _ = scalar_types(f.backend)
+    return (ratio + ratio.pow(1 / real(lam))) * (real(1) / 2)
 
 
 def arg_margin(value, spec: ClassSpec) -> float:
@@ -268,8 +262,7 @@ def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
                 f"order {f.order} drops the nonzero coefficient of "
                 f"z^{dropped[-1]}; membership needs order >= {dropped[-1]}")
     if order is not None and order > f.order:
-        zero = Fraction(0) if f.backend == EXACT else 0j
-        f = TruncatedSeries(list(f.coeffs) + [zero] * (order - f.order),
+        f = TruncatedSeries(list(f.coeffs) + [0] * (order - f.order),
                             backend=f.backend)
     if not f.is_normalized():
         raise ValueError("membership checks need a normalized function")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import EXACT, TruncatedSeries, geometric_series
+from .series import EXACT, TruncatedSeries, geometric_series, scalar_types
 
 __all__ = [
     "MFoldFunction",
@@ -159,19 +159,13 @@ def root_transform(f: TruncatedSeries, m: int) -> TruncatedSeries:
     if m == 1:
         return f
     inner = f.stretch(m).shift_down(m)
-    exponent = Fraction(1, m) if f.backend == EXACT else 1.0 / m
-    return inner.pow(exponent).shift_up(1)
+    real, _ = scalar_types(f.backend)
+    return inner.pow(real(1) / m).shift_up(1)
 
 
 _BASE_NAMES = ("geometric", "log", "atanh")
 
-CATALOG_NAMES = _BASE_NAMES + (
-    "mfold-geometric",
-    "mfold-log",
-    "mfold-atanh",
-    "mfold-geometric-as-printed",
-    "mfold-atanh-as-printed",
-)
+CATALOG_NAMES = _BASE_NAMES + ("mfold-geometric", "mfold-log", "mfold-atanh")
 
 
 def catalog(name: str, m: int = 1, order=None) -> TruncatedSeries:
@@ -189,11 +183,6 @@ def catalog(name: str, m: int = 1, order=None) -> TruncatedSeries:
     - ``mfold-geometric``: (z^m/(1-z^m))^(1/m)
     - ``mfold-log``: (-log(1-z^m))^(1/m)
     - ``mfold-atanh``: ((1/2) log((1+z^m)/(1-z^m)))^(1/m)
-
-    The ``-as-printed`` variants keep the exponent/bracket placement that
-    appears in older write-ups of these examples; they are exposed for
-    side-by-side comparison but are not normalized, so the m-fold shape
-    checks do not apply to them.
     """
     if order is None:
         order = 3 * m + 2
@@ -213,13 +202,4 @@ def catalog(name: str, m: int = 1, order=None) -> TruncatedSeries:
         base = catalog(name.removeprefix("mfold-"), 1, order)
         inner = base.stretch(m).shift_down(m).truncate(order - 1)
         return inner.pow(Fraction(1, m)).shift_up(1)
-    if name == "mfold-geometric-as-printed":
-        # literal exponent m: (z^m/(1-z^m))^m, leading term z^(m^2)
-        base = catalog("geometric", 1, order).stretch(m)
-        return base.pow(m).truncate(order * m)
-    if name == "mfold-atanh-as-printed":
-        # power read inside the log: (1/2) log(((1+z^m)/(1-z^m))^(1/m))
-        # which collapses to atanh(z^m)/m, leading term z^m/m
-        return catalog("atanh", 1, order).stretch(m).truncate(order * m) \
-            * Fraction(1, m)
     raise ValueError(f"unknown catalog entry {name!r}")

@@ -243,6 +243,19 @@ EXACT = "exact"
 FLOAT = "float"
 
 
+def scalar_types(backend):
+    """(real, complex) scalar types of a backend.
+
+    ``(Fraction, QComplex)`` on the exact backend, ``(float, complex)`` on
+    floats: code that needs a backend's constants builds them from these,
+    as in ``real(1) / 2`` or ``cplx(0)``, instead of branching on the
+    backend.
+    """
+    if backend == EXACT:
+        return Fraction, QComplex
+    return float, complex
+
+
 def _coerce_scalar(value, backend):
     if backend == EXACT:
         if isinstance(value, (QComplex, Fraction)):
@@ -250,9 +263,7 @@ def _coerce_scalar(value, backend):
         if isinstance(value, (int, Rational)):
             return Fraction(value)
         raise TypeError(f"exact backend cannot hold {value!r}; "
-                        "use Fraction or QComplex coefficients")
-    if isinstance(value, (QComplex, Fraction)):
-        return complex(value)
+                        "use Fraction or QComplex values")
     return complex(value)
 
 
@@ -374,9 +385,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[: order + 1], backend=self.backend)
 
     def to_float(self):
-        if self.backend == FLOAT:
-            return self
-        return TruncatedSeries([complex(c) for c in self.coeffs], backend=FLOAT)
+        return TruncatedSeries(self.coeffs, backend=FLOAT)
 
     def _check_backend(self, other):
         if self.backend != other.backend:
@@ -479,8 +488,7 @@ class TruncatedSeries:
 
     def shift_up(self, k=1):
         """Multiply by z^k.  Trusted order grows with the shift."""
-        zeros = [Fraction(0) if self.backend == EXACT else 0j] * k
-        return TruncatedSeries(list(zeros) + list(self.coeffs),
+        return TruncatedSeries([0] * k + list(self.coeffs),
                                backend=self.backend)
 
     def shift_down(self, k=1):
@@ -499,7 +507,7 @@ class TruncatedSeries:
             raise ValueError("stretch factor must be a positive integer")
         if m == 1:
             return self
-        out = [Fraction(0) if self.backend == EXACT else 0j] * (m * self.order + m)
+        out = [0] * (m * self.order + m)
         for n, c in enumerate(self.coeffs):
             out[m * n] = c
         return TruncatedSeries(out[: m * self.order + m], backend=self.backend)
@@ -517,13 +525,9 @@ class TruncatedSeries:
 
     def integrate(self):
         """Termwise antiderivative with constant 0; order grows by one."""
-        if self.backend == EXACT:
-            out = [Fraction(0)] + [self.coeffs[n] * Fraction(1, n + 1)
-                                   for n in range(self.order + 1)]
-        else:
-            out = [0j] + [self.coeffs[n] / (n + 1)
-                          for n in range(self.order + 1)]
-        return TruncatedSeries(out, backend=self.backend)
+        return TruncatedSeries(
+            [0] + [self.coeffs[n] / (n + 1) for n in range(self.order + 1)],
+            backend=self.backend)
 
     # ------------------------------------------------------------------
     # composition and reversion
@@ -552,12 +556,11 @@ class TruncatedSeries:
             raise ValueError("reversion needs a normalized series "
                              "(c[0] = 0, c[1] = 1)")
         n = self.order
-        zero = Fraction(0) if self.backend == EXACT else 0j
-        one = Fraction(1) if self.backend == EXACT else 1 + 0j
+        zero = _coerce_scalar(0, self.backend)
         powers = [None, self]
         for k in range(2, n + 1):
             powers.append(powers[-1] * self)
-        b = [zero, one]
+        b = [zero, _coerce_scalar(1, self.backend)]
         for j in range(2, n + 1):
             acc = zero
             for k in range(1, j):
@@ -583,23 +586,17 @@ class TruncatedSeries:
         """
         if not _is_zero(self.coeffs[0]):
             raise ValueError("exp0 needs constant term exactly 0")
-        n = self.order
-        if self.backend == EXACT:
-            out = [Fraction(1)]
-            for j in range(1, n + 1):
-                acc = Fraction(0)
-                for k in range(1, j + 1):
-                    ak = self.coeffs[k]
-                    if not _is_zero(ak):
-                        acc = acc + k * ak * out[j - k]
-                out.append(acc / j)
-        else:
-            out = [1 + 0j]
-            for j in range(1, n + 1):
-                acc = 0j
-                for k in range(1, j + 1):
-                    acc += k * self.coeffs[k] * out[j - k]
-                out.append(acc / j)
+        zero = _coerce_scalar(0, self.backend)
+        out = [_coerce_scalar(1, self.backend)]
+        for j in range(1, self.order + 1):
+            acc = zero
+            for k in range(1, j + 1):
+                ak = self.coeffs[k]
+                # skipping a zero term changes no float bit: acc starts at
+                # +0j and never holds -0.0, so adding a +-0 product is a no-op
+                if not _is_zero(ak):
+                    acc = acc + k * ak * out[j - k]
+            out.append(acc / j)
         return TruncatedSeries(out, backend=self.backend)
 
     def pow(self, exponent):
@@ -617,17 +614,12 @@ class TruncatedSeries:
             for _ in range(exponent - 1):
                 acc = acc * self
             return acc
-        if isinstance(exponent, float):
-            if self.backend == EXACT:
-                raise TypeError("use a Fraction exponent on the exact backend")
-        else:
-            exponent = Fraction(exponent)
+        # the coefficient rule: the exact backend refuses a float exponent
+        exponent = _coerce_scalar(exponent, self.backend)
         if self.coeffs[0] != 1:
             raise ValueError("fractional powers need constant term exactly 1")
         if exponent == 1:
             return self
-        if self.backend == FLOAT and isinstance(exponent, Fraction):
-            exponent = float(exponent)
         return (self.log1() * exponent).exp0()
 
     __pow__ = pow

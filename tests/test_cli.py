@@ -280,3 +280,26 @@ def test_selftest_times_each_suite_on_stderr():
     assert [name for name, _ in timed] == suites
     assert all(seconds.endswith(" s") and float(seconds[:-2]) >= 0
                for _, seconds in timed)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--p-atoms", "1@0"), "must be given together"),
+    (("--q-atoms", "1@0"), "must be given together"),
+    (("--p-atoms", "1@0", "--q-atoms", "1@180", "--realizable"),
+     "--realizable"),
+], ids=["p-atoms-alone", "q-atoms-alone", "atoms-and-realizable"])
+def test_solve_coeffs_refuses_atoms_it_would_ignore(argv, message):
+    proc = run_cli("solve-coeffs", *argv, "--no-timestamp", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("atoms", ["1", "1@x", "inf@0", "1@nan"])
+def test_solve_coeffs_names_a_malformed_atom(atoms):
+    proc = run_cli("solve-coeffs", "--p-atoms", atoms, "--q-atoms", "1@180",
+                   check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: atom {atoms!r}")
+    assert "weight@degrees" in proc.stderr

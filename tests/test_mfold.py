@@ -170,15 +170,6 @@ def test_catalog_mfold_entries_are_normalized_mfold():
                     assert s.coeff(n) == 0, (name, m, n)
 
 
-def test_catalog_as_printed_variants_not_normalized():
-    printed = catalog("mfold-geometric-as-printed", 2, 4)
-    assert printed.valuation() == 4  # leading term z^(m^2)
-    assert not printed.is_normalized()
-    atanh_printed = catalog("mfold-atanh-as-printed", 2, 4)
-    assert atanh_printed.coeff(2) == F(1, 2)  # z^m / m leading term
-    assert not atanh_printed.is_normalized()
-
-
 def test_catalog_rejects_unknown_and_misused_names():
     with pytest.raises(ValueError):
         catalog("koebe", 1)

@@ -370,3 +370,55 @@ def test_batch_division_by_a_real_and_abs_match_complex():
     assert [v.hex() for v in abs(x)] == [abs(s).hex() for s in a]
     with pytest.raises(ZeroDivisionError):
         x / 0.0
+
+
+# ----------------------------------------------------------------------
+# exp0 and integrate: one loop for both backends
+
+
+def reference_exp0(coeffs, zero, one):
+    """The float exp0 loop before both backends shared one: no zero skip."""
+    out = [one]
+    for j in range(1, len(coeffs)):
+        acc = zero
+        for k in range(1, j + 1):
+            acc += k * coeffs[k] * out[j - k]
+        out.append(acc / j)
+    return out
+
+
+def reference_integrate_float(coeffs):
+    return [0j] + [c / (n + 1) for n, c in enumerate(coeffs)]
+
+
+def reference_integrate_exact(coeffs):
+    return [Fraction(0)] + [c * Fraction(1, n + 1)
+                            for n, c in enumerate(coeffs)]
+
+
+def rational_coefficients(rng, count):
+    def fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return [rng.choice([Fraction(0), fraction(),
+                        QComplex(fraction(), fraction())])
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_merged_exp0_and_integrate_match_the_old_loops(seed):
+    rng = random.Random(f"merged-loops/{seed}")
+    n = rng.randint(1, 16)
+    floats = random_complexes(rng, n + 1)
+    floats[0] = rng.choice([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                            complex(-0.0, -0.0)])
+    series = TruncatedSeries.floating(floats)
+    assert [bits(z) for z in series.exp0()] == \
+        [bits(z) for z in reference_exp0(floats, 0j, 1 + 0j)]
+    assert [bits(z) for z in series.integrate()] == \
+        [bits(z) for z in reference_integrate_float(floats)]
+
+    exact = [Fraction(0)] + rational_coefficients(rng, n)
+    series = S(exact)
+    assert list(series.exp0()) == \
+        reference_exp0(exact, Fraction(0), Fraction(1))
+    assert list(series.integrate()) == reference_integrate_exact(exact)
