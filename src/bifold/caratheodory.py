@@ -152,19 +152,26 @@ def _moment(atoms, k, cplx):
 
 # The float atom checks, written with plain operators so that they run
 # unchanged on one atom set (float weights, complex points) and on a batch
-# of them (weight arrays, ComplexBatch points, one entry per set).
+# of them (weight arrays, ComplexBatch points, one entry per set).  A NaN,
+# which no ordered comparison holds for, fails each check.
+
+
+def _nan(x):
+    return x != x
 
 
 def _negative(w):
-    return w < -1e-15
+    return (w < -1e-15) | _nan(w)
 
 
 def _off_circle(z):
-    return abs(abs(z) - 1.0) > 1e-12
+    gap = abs(abs(z) - 1.0)
+    return (gap > 1e-12) | _nan(gap)
 
 
 def _off_simplex(weights):
-    return abs(sum(weights) - 1.0) > 1e-12
+    gap = abs(sum(weights) - 1.0)
+    return (gap > 1e-12) | _nan(gap)
 
 
 def _float_faults(atoms):
@@ -428,23 +435,15 @@ def with_moments(c1, c2, fold=1, backend=EXACT) -> CaratheodoryFunction:
     else:
         c1, c2 = complex(c1), complex(c2)
         pts, solve = [complex(p) for p in _BASE_POINTS], _solve_linear_float
-    parts = [_re_im(p) for p in pts[:5]]
-    squares = [_re_im(p * p) for p in pts[:5]]
+    squares = [p * p for p in pts[:5]]
     matrix = [[1] * 5,
-              [re for re, _ in parts],
-              [im for _, im in parts],
-              [re for re, _ in squares],
-              [im for _, im in squares]]
-    rhs = [0, *_re_im(c1), *_re_im(c2)]
+              [p.real for p in pts[:5]],
+              [p.imag for p in pts[:5]],
+              [p.real for p in squares],
+              [p.imag for p in squares]]
+    rhs = [0, c1.real, c1.imag, c2.real, c2.imag]
     delta = solve(matrix, rhs) + [0]
     weights = [w + d for w, d in zip(_BASE_WEIGHTS, delta)]
     if any(w < 0 for w in weights):
         raise ValueError("prescribed moments leave the weight simplex")
     return CaratheodoryFunction(zip(weights, pts), fold=fold, backend=backend)
-
-
-def _re_im(z):
-    """(real part, imaginary part) of a QComplex or a complex."""
-    if isinstance(z, QComplex):
-        return z.re, z.im
-    return z.real, z.imag

@@ -115,10 +115,19 @@ def phi(f: TruncatedSeries, lam) -> TruncatedSeries:
         raise ValueError("the membership functional needs a normalized series")
     if not 0 < lam <= 1:
         raise ValueError(f"lambda must lie in (0, 1], got {lam!r}")
-    ratio = f.derivative().shift_up(1) / f  # z f'/f, constant term 1
+    return _phi_of_ratio(_log_derivative(f), lam)
+
+
+def _log_derivative(f: TruncatedSeries) -> TruncatedSeries:
+    """z f'/f of a normalized f, constant term 1."""
+    return f.derivative().shift_up(1) / f
+
+
+def _phi_of_ratio(ratio: TruncatedSeries, lam) -> TruncatedSeries:
+    """Phi from the series ratio = z f'/f."""
     if lam == 1:
         return ratio
-    real, _ = scalar_types(f.backend)
+    real, _ = scalar_types(ratio.backend)
     return (ratio + ratio.pow(1 / real(lam))) * (real(1) / 2)
 
 
@@ -198,28 +207,27 @@ def _margins(values, spec):
 
 
 def _scan_side(side, phi_series, ratio_series, spec, radii, angles):
+    theta = 2.0 * np.pi * np.arange(angles) / angles
+    # one row per radius: each series is evaluated once over the whole grid
+    points = np.array(radii, dtype=float)[:, None] * np.exp(1j * theta)
+    values = phi_series.eval_many(points)
+    margins = _margins(values, spec)
+    flagged = int(np.count_nonzero(ratio_series.eval_many(points).real <= 0))
     worst = math.inf
     worst_point = 0j
     worst_value = 0j
     worst_tail = 0.0
-    flagged = 0
     all_clear = True
-    for r in radii:
-        theta = 2.0 * np.pi * np.arange(angles) / angles
-        points = r * np.exp(1j * theta)
-        values = phi_series.eval_many(points)
-        margins = _margins(values, spec)
-        flagged += int(np.count_nonzero(
-            ratio_series.eval_many(points).real <= 0))
+    for row, r in enumerate(radii):
         tail = tail_estimate(phi_series, r)
-        idx = int(np.argmin(margins))
-        local = float(margins[idx])
+        idx = int(np.argmin(margins[row]))
+        local = float(margins[row, idx])
         if local < worst:
             worst = local
-            worst_point = complex(points[idx])
-            worst_value = complex(values[idx])
+            worst_point = complex(points[row, idx])
+            worst_value = complex(values[row, idx])
             worst_tail = tail
-        if not np.all(margins > tail):
+        if not np.all(margins[row] > tail):
             all_clear = False
     if worst < -worst_tail:
         verdict = "fail"  # a definite witness: below zero by more than noise
@@ -272,10 +280,9 @@ def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
                 raise ValueError(f"series is not {spec.m}-fold symmetric")
     g = f.truncate(min(f.order, g_order)).revert().to_float()
     f = f.to_float()
-    ratio_f = f.derivative().shift_up(1) / f
-    phi_f = phi(f, spec.lam)
-    ratio_g = g.derivative().shift_up(1) / g
-    phi_g = phi(g, spec.lam)
+    ratio_f, ratio_g = _log_derivative(f), _log_derivative(g)
+    phi_f = _phi_of_ratio(ratio_f, spec.lam)
+    phi_g = _phi_of_ratio(ratio_g, spec.lam)
     g_radii = sorted({min(r, G_SIDE_RADIUS_CAP) for r in radii})
     f_report = _scan_side("f", phi_f, ratio_f, spec, tuple(radii), angles)
     g_report = _scan_side("g", phi_g, ratio_g, spec, tuple(g_radii), angles)

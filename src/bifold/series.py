@@ -25,7 +25,7 @@ Series are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import hypot
+from math import copysign, hypot
 from numbers import Rational
 
 import numpy as np
@@ -49,6 +49,14 @@ class QComplex:
 
     def __setattr__(self, name, value):
         raise AttributeError("QComplex is immutable")
+
+    @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
 
     @staticmethod
     def _coerce(value):
@@ -271,6 +279,28 @@ def _is_zero(value) -> bool:
     return not value
 
 
+def _has_negative_zero(value) -> bool:
+    """True when a part of value is -0.0; exact scalars have no signed zero."""
+    return any(not part and copysign(1.0, part) < 0
+               for part in (value.real, value.imag))
+
+
+# Zero skipping.  The exact product kernel, the division and exp0 form no
+# term with a zero factor, which leaves the zero slots of an m-fold series
+# free.  Exact values do not change (a coefficient may come out as a
+# Fraction where a formed zero QComplex term made it a QComplex).  Float
+# bits do not change for finite input: a skipped term is a complex with
+# parts +-0.0, and adding or subtracting +-0.0 leaves every part alone
+# except a -0.0, which -0.0 + (+0.0) and -0.0 - (-0.0) turn into +0.0.
+# - exp0's accumulator starts at +0j, and a sum or difference is -0.0 only
+#   when its first operand is, so it never holds -0.0.
+# - The division's accumulator starts at a numerator coefficient, which may
+#   hold -0.0, and keeps it while only +0.0 parts are subtracted.  So a slot
+#   that starts on a -0.0 part skips no term.  The reference-loop tests in
+#   tests/test_series.py pin this case: sparse series with -0.0 and
+#   complex(0.0, -0.0) coefficients, and one such slot spelled out.
+
+
 def _mul_coeffs_exact(a, b, order):
     out = [Fraction(0)] * (order + 1)
     for i, ai in enumerate(a):
@@ -456,11 +486,19 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         b0 = other.coeffs[0]
         out = []
+        nonzero = []  # ascending indices i of the nonzero out[i]
         for k in range(n + 1):
             acc = self.coeffs[k]
-            for i in range(k):
-                acc = acc - out[i] * other.coeffs[k - i]
+            # skip zero terms, unless acc starts on a -0.0 part (see the
+            # note on zero skipping above)
+            every = _has_negative_zero(acc)
+            for i in range(k) if every else nonzero:
+                d = other.coeffs[k - i]
+                if every or not _is_zero(d):
+                    acc = acc - out[i] * d
             out.append(acc / b0)
+            if not _is_zero(out[k]):
+                nonzero.append(k)
         return TruncatedSeries(out, backend=self.backend)
 
     def __rtruediv__(self, other):
@@ -588,14 +626,17 @@ class TruncatedSeries:
             raise ValueError("exp0 needs constant term exactly 0")
         zero = _coerce_scalar(0, self.backend)
         out = [_coerce_scalar(1, self.backend)]
+        # the nonzero k*a_k in ascending k; terms with a zero out[j-k] are
+        # skipped too (see the note on zero skipping above)
+        terms = [(k, k * ak) for k, ak in enumerate(self.coeffs)
+                 if k and not _is_zero(ak)]
         for j in range(1, self.order + 1):
             acc = zero
-            for k in range(1, j + 1):
-                ak = self.coeffs[k]
-                # skipping a zero term changes no float bit: acc starts at
-                # +0j and never holds -0.0, so adding a +-0 product is a no-op
-                if not _is_zero(ak):
-                    acc = acc + k * ak * out[j - k]
+            for k, kak in terms:
+                if k > j:
+                    break
+                if not _is_zero(out[j - k]):
+                    acc = acc + kak * out[j - k]
             out.append(acc / j)
         return TruncatedSeries(out, backend=self.backend)
 

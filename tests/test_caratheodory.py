@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bifold.caratheodory import (CaratheodoryFunction, check_lemma1,
+from bifold.caratheodory import (CaratheodoryFunction, _negative,
+                                 _off_circle, _off_simplex, check_lemma1,
                                  constrained_pair, sample, sample_exact,
                                  solve_linear_exact, unimodular_exact,
                                  with_moments, zero_moment_base)
@@ -62,6 +63,27 @@ def test_constructor_invariants():
     with pytest.raises(ValueError):
         CaratheodoryFunction([(0.5, 1 + 0j), (0.5, 0.7 + 0j)],
                              backend="float")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("atoms", [
+    [(NAN, 1 + 0j)],
+    [(1.0, complex(NAN, 0.0))],
+    [(1.0, complex(1.0, NAN))],
+    [(0.5, 1 + 0j), (NAN, 1j)],
+    [(0.5, 1 + 0j), (0.5, complex(NAN, NAN))],
+], ids=["weight", "point-re", "point-im", "second-weight", "second-point"])
+def test_nan_atoms_are_refused(atoms):
+    with pytest.raises(ValueError):
+        CaratheodoryFunction(atoms)
+
+
+def test_nan_fails_each_float_check():
+    assert _negative(NAN) and _off_circle(complex(NAN, 0.0))
+    assert _off_simplex([0.5, NAN])
+    assert not (_negative(0.0) or _off_circle(1j) or _off_simplex([0.5, 0.5]))
 
 
 # ----------------------------------------------------------------------

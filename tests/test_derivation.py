@@ -5,10 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bifold.caratheodory import CaratheodoryFunction, constrained_pair
-from bifold.derivation import (bound_consistency, class_constants,
-                               forward_verify, realizable_pair, solve_alpha,
-                               solve_beta, solve_moments)
+from bifold.caratheodory import (CaratheodoryFunction, _float_faults,
+                                 constrained_pair)
+from bifold.derivation import (_solve_batch, bound_consistency,
+                               class_constants, forward_verify,
+                               realizable_pair, solve_alpha, solve_beta,
+                               solve_moments)
+from bifold.explore import _draw_block
 from bifold.membership import ClassSpec
 from bifold.series import ComplexBatch, QComplex
 
@@ -222,3 +225,18 @@ def test_solve_moments_on_a_batch_is_bit_identical(spec):
         assert bits(batch.a_2m1, i) == bits(one.a_2m1)
         for key, value in one.residuals.items():
             assert bits(batch.residuals[key], i) == bits(value), key
+
+
+@pytest.mark.parametrize("part", ["weight", "point"])
+def test_solve_batch_flags_a_nan_set(part):
+    spec = ClassSpec("re", m=2, lam=0.5, beta=0.25)
+    p_atoms, q_atoms = _draw_block([f"nan/{i}" for i in range(6)], 2, 3)
+    weights, points = p_atoms[1]
+    if part == "weight":
+        weights[4] = float("nan")
+    else:
+        points.im[4] = float("nan")
+    assert list(np.flatnonzero(_float_faults(p_atoms))) == [4]
+    assert not np.any(_float_faults(q_atoms))
+    with pytest.raises(ValueError, match="nonnegative|unimodular"):
+        _solve_batch(p_atoms, q_atoms, class_constants(spec, exact=False))

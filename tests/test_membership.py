@@ -4,8 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from bifold import membership
 from bifold.membership import (ClassSpec, arg_margin, check_membership, phi,
                                re_margin, tail_estimate)
 from bifold.mfold import MFoldFunction, catalog
@@ -202,3 +204,97 @@ def test_membership_needs_angles():
     with pytest.raises(ValueError, match="angles"):
         check_membership(TruncatedSeries.identity(8), ClassSpec("re", beta=0),
                          angles=0)
+
+
+# ----------------------------------------------------------------------
+# the one-pass grid scan against the per-radius loop
+
+
+def reference_scan_side(side, phi_series, ratio_series, spec, radii, angles):
+    """The grid scan before it stacked the radii: one pass per radius."""
+    worst = math.inf
+    worst_point = 0j
+    worst_value = 0j
+    worst_tail = 0.0
+    flagged = 0
+    all_clear = True
+    for r in radii:
+        theta = 2.0 * np.pi * np.arange(angles) / angles
+        points = r * np.exp(1j * theta)
+        values = phi_series.eval_many(points)
+        margins = membership._margins(values, spec)
+        flagged += int(np.count_nonzero(
+            ratio_series.eval_many(points).real <= 0))
+        tail = tail_estimate(phi_series, r)
+        idx = int(np.argmin(margins))
+        local = float(margins[idx])
+        if local < worst:
+            worst = local
+            worst_point = complex(points[idx])
+            worst_value = complex(values[idx])
+            worst_tail = tail
+        if not np.all(margins > tail):
+            all_clear = False
+    if worst < -worst_tail:
+        verdict = "fail"
+    elif all_clear:
+        verdict = "pass"
+    else:
+        verdict = "inconclusive"
+    return membership.SideReport(
+        side=side, verdict=verdict, worst_margin=worst, witness=worst_point,
+        witness_value=worst_value, radii=tuple(radii), tail=worst_tail,
+        nonpositive_ratio_points=flagged)
+
+
+def report_bits(report):
+    """A SideReport's fields, floats as hex: equal when the bits are."""
+    def bits(value):
+        if isinstance(value, complex):
+            return value.real.hex(), value.imag.hex()
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(bits(v) for v in value)
+        return value
+    return {name: bits(value) for name, value in vars(report).items()}
+
+
+SCAN_SOURCES = ["geometric", "log", "mfold-log", "mfold-atanh",
+                "mfold-geometric", "poly", "identity"]
+SCAN_RADII = [membership.DEFAULT_RADII, (0.95, 0.3, 0.3, 0.05), (0.5,)]
+
+
+@pytest.mark.parametrize("kind", ["arg", "re"])
+@pytest.mark.parametrize("source", SCAN_SOURCES)
+def test_one_pass_scan_matches_the_per_radius_loop(source, kind):
+    rng = random.Random(f"scan/{source}/{kind}")
+    m = 1 if source in ("geometric", "log") else rng.choice([2, 3])
+    order = rng.randint(40, 60)
+    if source == "poly":
+        f = MFoldFunction(m, [F(rng.randint(-3, 3), 4 * (k * m + 1))
+                              for k in (1, 2, 3)]).to_series(order)
+    elif source == "identity":
+        f = TruncatedSeries.identity(order)
+    else:
+        f = catalog(source, m, order)
+    lam = rng.choice([F(1, 3), F(1, 2), F(1)])
+    if kind == "arg":
+        spec = ClassSpec("arg", m=m, lam=lam, alpha=F(rng.randint(1, 20), 20))
+    else:
+        spec = ClassSpec("re", m=m, lam=lam, beta=F(rng.randint(0, 19), 20))
+    sides = {"f": f.to_float(), "g": f.truncate(16).revert().to_float()}
+    for radii in SCAN_RADII:
+        for angles in (1, 7, 720):
+            report = check_membership(f, spec, radii=radii, angles=angles,
+                                      g_order=16)
+            g_radii = sorted({min(r, membership.G_SIDE_RADIUS_CAP)
+                              for r in radii})
+            for got, side_radii in ((report.f_report, radii),
+                                    (report.g_report, g_radii)):
+                series = sides[got.side]
+                ratio = series.derivative().shift_up(1) / series
+                expected = reference_scan_side(
+                    got.side, phi(series, lam), ratio, spec,
+                    tuple(side_radii), angles)
+                assert report_bits(got) == report_bits(expected)

@@ -422,3 +422,75 @@ def test_merged_exp0_and_integrate_match_the_old_loops(seed):
     assert list(series.exp0()) == \
         reference_exp0(exact, Fraction(0), Fraction(1))
     assert list(series.integrate()) == reference_integrate_exact(exact)
+
+
+# ----------------------------------------------------------------------
+# zero-skipping division and exp0 against the loops that form every term
+
+
+def reference_truediv(num, den):
+    """The series division loop before zero skipping: every term formed."""
+    out = []
+    for k in range(min(len(num), len(den))):
+        acc = num[k]
+        for i in range(k):
+            acc = acc - out[i] * den[k - i]
+        out.append(acc / den[0])
+    return out
+
+
+FLOAT_ZEROS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+               complex(-0.0, -0.0)]
+
+
+def sparse_coefficients(rng, count, m, nonzero, zeros):
+    """m-fold sparse coefficients: drawn values at multiples of m, zeros of
+    every kind elsewhere (and at some multiples of m too)."""
+    return [nonzero() if k % m == 0 and rng.random() < 0.8
+            else rng.choice(zeros) for k in range(count)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("seed", range(12))
+def test_zero_skipping_division_and_exp0_match_the_old_loops(m, seed):
+    rng = random.Random(f"zero-skip/{m}/{seed}")
+    n = rng.randint(1, 24)
+
+    def draw(nonzero, zeros):
+        return sparse_coefficients(rng, n + 1, m, nonzero, zeros)
+
+    def float_value():
+        return random_complexes(rng, 1)[0]
+
+    num, den = draw(float_value, FLOAT_ZEROS), draw(float_value, FLOAT_ZEROS)
+    den[0] = rng.choice([1 + 0j, complex(rng.uniform(0.5, 2), -0.0),
+                         complex(rng.uniform(-2, 2), rng.uniform(-2, 2))])
+    quotient = TruncatedSeries.floating(num) / TruncatedSeries.floating(den)
+    assert [bits(z) for z in quotient] == \
+        [bits(z) for z in reference_truediv(num, den)]
+    num[0] = rng.choice(FLOAT_ZEROS)
+    assert [bits(z) for z in TruncatedSeries.floating(num).exp0()] == \
+        [bits(z) for z in reference_exp0(num, 0j, 1 + 0j)]
+
+    def exact_value():
+        return rational_coefficients(rng, 1)[0] or Fraction(1, 7)
+
+    exact_zeros = [Fraction(0), QComplex(0)]
+    num, den = draw(exact_value, exact_zeros), draw(exact_value, exact_zeros)
+    den[0] = rng.choice([Fraction(1), exact_value()])
+    assert list(S(num) / S(den)) == reference_truediv(num, den)
+    num[0] = Fraction(0)
+    assert list(S(num).exp0()) == \
+        reference_exp0(num, Fraction(0), Fraction(1))
+
+
+def test_division_forms_every_term_after_a_negative_zero_start():
+    # a -0.0 start survives only if no -0.0 part is subtracted; here the
+    # zero term out[0] * den[1] = (-1+0j) * (0+0j) has real part -0.0, so
+    # skipping it would leave -0.0 where the old loop gives +0.0
+    num = [complex(-1.0, 0.0), complex(-0.0, 0.0)]
+    den = [1 + 0j, 0j]
+    expected = reference_truediv(num, den)
+    assert bits(expected[1]) == ("0x0.0p+0", "0x0.0p+0")
+    quotient = TruncatedSeries.floating(num) / TruncatedSeries.floating(den)
+    assert [bits(z) for z in quotient] == [bits(z) for z in expected]
