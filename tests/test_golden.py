@@ -57,6 +57,7 @@ FORMATS = {"csv": ["--no-timestamp"],
 RUNS = {f"{name}.{ext}": argv + flags
         for name, argv in CASES.items() for ext, flags in FORMATS.items()}
 RUNS["selftest-quick.txt"] = ["selftest", "--quick"]
+RUNS["selftest-full.txt"] = ["selftest"]
 
 
 @pytest.mark.parametrize("filename", sorted(RUNS))
