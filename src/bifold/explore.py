@@ -86,6 +86,13 @@ class SearchRecord:
     def ceiling_ok(self) -> bool:
         return self.max_a_m1_unfiltered <= self.ceiling + 1e-10
 
+    @property
+    def ok(self) -> bool:
+        """The cell's verdict: both filtered ratios at most 1 + 1e-10 and
+        the unfiltered |a_{m+1}| under the ceiling."""
+        return (self.ratio_a_m1 <= 1 + 1e-10 and self.ratio_a_2m1 <= 1 + 1e-10
+                and self.ceiling_ok)
+
 
 def sweep_cell(kind, m, param, lam, samples, seed,
                atom_count=3, realizable=0,

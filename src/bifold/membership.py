@@ -66,8 +66,7 @@ class ClassSpec:
     def __post_init__(self):
         if self.kind not in ("arg", "re"):
             raise ValueError(f"kind must be 'arg' or 're', got {self.kind!r}")
-        if self.m < 1:
-            raise ValueError("fold order m must be >= 1")
+        bounds_mod._check_m(self.m)
         if not 0 < self.lam <= 1:
             raise ValueError(f"lambda must lie in (0, 1], got {self.lam!r}")
         if self.kind == "arg":

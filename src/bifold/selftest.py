@@ -1,8 +1,13 @@
-"""Built-in invariant suites behind the ``selftest`` CLI command.
+"""The invariant suites: the one home of bifold's checks of the paper.
 
-Every suite runs on fixed internal seeds, so two invocations print the
-same bytes (nothing time- or platform-dependent is emitted).  A failing
-check reports the seed that produced it and flips the exit code to 1.
+Each suite takes its sizes and seed prefix as arguments.  ``selftest``
+runs them at the sizes in ``_QUICK`` or ``_FULL``, and the acceptance
+tests run them at their own, larger sizes.  A check that only those
+larger runs need is switched off here by a size of zero or an empty list.
+
+Every suite runs on fixed seeds, so two invocations print the same bytes
+(nothing time- or platform-dependent is emitted).  A failing check reports
+the seed that produced it and flips the exit code to 1.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from .membership import ClassSpec, check_membership
 from .mfold import MFoldFunction, catalog
 from .series import TruncatedSeries
 
-__all__ = ["run_selftest", "check_inversion"]
+__all__ = ["run_selftest", "check_inversion", "suite_inverse",
+           "suite_reductions", "suite_lemma", "suite_derivation",
+           "suite_membership", "suite_sweep"]
 
 
 class _Suite:
@@ -40,41 +47,58 @@ class _Suite:
         return not self.failures
 
 
+def _draw_mfold(rng, m):
+    """An m-fold function with three seeded coefficients in [-9, 9]/[1, 9]."""
+    return MFoldFunction(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                             for _ in range(3)])
+
+
 def check_inversion(rng, m):
     """Draw one m-fold function from ``rng`` and check its inverse exactly.
 
     Returns (closed_ok, identity_ok): the closed-form inverse coefficients
     equal the reversion route's, and f(g(z)) = z through order 3m+2.
     """
-    fn = MFoldFunction(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                           for _ in range(3)])
+    fn = _draw_mfold(rng, m)
     closed_ok = (fn.inverse_closed_form().as_tuple()
                  == fn.inverse_by_reversion().as_tuple())
     f = fn.to_series(3 * m + 2)
     comp = f.compose(f.revert())
-    identity_ok = all(comp.coeff(n) == (1 if n == 1 else 0)
-                      for n in range(comp.order + 1))
+    identity_ok = comp.order == 3 * m + 2 and all(
+        comp.coeff(n) == (1 if n == 1 else 0) for n in range(comp.order + 1))
     return closed_ok, identity_ok
 
 
-def _suite_inverse(quick) -> _Suite:
+def suite_inverse(m_values, per_m, seed, patterns=0,
+                  pattern_seed="") -> _Suite:
+    """``check_inversion`` on ``per_m`` draws from ``{seed}/{m}`` per m.
+
+    ``patterns`` one-fold draws from ``pattern_seed`` are also checked
+    against the printed inverse pattern (-a2, 2a2^2 - a3, ...).
+    """
     suite = _Suite("inverse-coefficients")
-    m_values = (1, 2, 3, 4) if quick else (1, 2, 3, 4, 5, 6)
-    per_m = 6 if quick else 20
     for m in m_values:
-        rng = random.Random(f"selftest/inverse/{m}")
+        rng = random.Random(f"{seed}/{m}")
         for i in range(per_m):
             closed_ok, identity_ok = check_inversion(rng, m)
             suite.check(closed_ok,
                         f"closed/reversion mismatch at m={m} sample={i}")
             suite.check(identity_ok,
                         f"compose identity failed at m={m} sample={i}")
+    rng = random.Random(pattern_seed)
+    for i in range(patterns):
+        fn = _draw_mfold(rng, 1)
+        a2, a3, a4 = fn.coeffs
+        suite.check(fn.inverse_closed_form().as_tuple() == (
+            -a2, 2 * a2 ** 2 - a3, -(5 * a2 ** 3 - 5 * a2 * a3 + a4)),
+            f"one-fold pattern mismatch at draw={i}")
     return suite
 
 
-def _suite_reductions(quick) -> _Suite:
+def suite_reductions(steps) -> _Suite:
+    """The lambda = 1 reductions on the ``steps`` x ``steps`` grid per
+    kind, m = 1..steps, plus the one-fold spot values (sqrt 2, 5)."""
     suite = _Suite("bound-reductions")
-    steps = 4 if quick else 10
     alphas = [Fraction(k, steps) for k in range(1, steps + 1)]
     betas = [Fraction(k - 1, steps) for k in range(1, steps + 1)]
     for row in bounds_mod.verify_reductions(range(1, steps + 1), alphas,
@@ -94,14 +118,15 @@ def _suite_reductions(quick) -> _Suite:
     return suite
 
 
-def _suite_lemma(quick) -> _Suite:
+def suite_lemma(count, seed) -> _Suite:
+    """The coefficient inequalities to depth 4 on ``count`` seeded
+    samples, and |p_m| = 2 for every single-atom sample."""
     suite = _Suite("caratheodory-lemma")
-    count = 300 if quick else 3000
     for i in range(count):
-        rng = random.Random(f"selftest/lemma/{i}")
+        rng = random.Random(f"{seed}/{i}")
         atoms = rng.randint(1, 6)
         m = rng.randint(1, 4)
-        fn = sample(f"selftest/lemma/{i}/draw", atoms, m)
+        fn = sample(f"{seed}/{i}/draw", atoms, m)
         report = check_lemma1(fn, depth=4)
         suite.check(report.ok, f"coefficient inequality violated at i={i}")
         if atoms == 1:
@@ -111,21 +136,34 @@ def _suite_lemma(quick) -> _Suite:
     return suite
 
 
-def _suite_derivation(quick) -> _Suite:
+def suite_derivation(constrained, realizable, seed,
+                     realizable_seed=None) -> _Suite:
+    """Exact residuals and bound ratios of solved pairs, per class cell.
+
+    Each cell takes ``constrained`` seeded pairs tagged
+    ``{seed}/{kind}/{m}/{lam}/{i}`` and ``realizable`` constructed pairs
+    tagged the same way from ``realizable_seed`` (default ``seed``).  The
+    first realizable pair of a cell is also expanded by ``forward_verify``.
+    """
     suite = _Suite("derivation-residuals")
-    per_cell = 4 if quick else 25
-    lam_values = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
     params = {"alpha": Fraction(1, 2), "beta": Fraction(1, 4)}
     for kind in ("alpha", "beta"):
         for m in (1, 2, 3):
-            for lam in lam_values:
+            for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
                 spec = ClassSpec.from_kind(kind, m, params[kind], lam)
-                for i in range(per_cell):
-                    tag = f"selftest/derivation/{kind}/{m}/{lam}/{i}"
+                cell = f"{kind}/{m}/{lam}"
+                for i in range(constrained):
+                    tag = f"{seed}/{cell}/{i}"
                     p, q = constrained_pair(tag, m, 3, backend="exact")
                     sol = _solve(p, q, spec)
-                    suite.check(sol.max_constructed_residual() == 0.0,
-                                f"nonzero constructed residual at {tag}")
+                    # the bound ratios apply once the addition residual is 0
+                    suite.check(sol.max_constructed_residual() == 0.0
+                                and (sol.realizability != 0.0
+                                     or bound_consistency(sol).ok),
+                                f"nonzero constructed residual or filtered "
+                                f"bound ratio above 1 at {tag}")
+                for i in range(realizable):
+                    tag = f"{realizable_seed or seed}/{cell}/{i}"
                     pr, qr = realizable_pair(tag, spec, backend="exact")
                     solr = _solve(pr, qr, spec)
                     zero = all(complex(v) == 0
@@ -141,53 +179,90 @@ def _suite_derivation(quick) -> _Suite:
     return suite
 
 
-def _suite_membership(quick) -> _Suite:
+def suite_membership(specs, angles, geo_order, geo_angles,
+                     guard_betas=()) -> _Suite:
+    """Known verdicts of the sampled membership check.
+
+    The identity passes every spec in ``specs`` on ``angles`` rays.  z/(1-z)
+    to order ``geo_order`` passes Re > 2/5 and fails Re > 3/5 with a
+    witness, on ``geo_angles`` rays.  For each beta in ``guard_betas`` an
+    order-8 inverse whose margin lies inside its tail is inconclusive.
+    """
     suite = _Suite("membership-sanity")
-    angles = 90 if quick else 360
     ident = TruncatedSeries.identity(12)
-    specs = [ClassSpec("arg", m=m, lam=lam, alpha=Fraction(1, 2))
-             for m in (1, 2) for lam in (Fraction(1, 2), 1)]
-    specs += [ClassSpec("re", m=m, lam=lam, beta=Fraction(1, 2))
-              for m in (1, 2) for lam in (Fraction(1, 2), 1)]
     for spec in specs:
         verdict = check_membership(ident, spec, angles=angles).verdict
         suite.check(verdict == "pass",
                     f"identity did not pass {spec.describe()}")
-    geo = catalog("geometric", 1, 120 if quick else 240)
+    geo = catalog("geometric", 1, geo_order)
     good = check_membership(geo, ClassSpec("re", beta=Fraction(2, 5)),
-                            angles=angles)
+                            angles=geo_angles)
     suite.check(good.verdict == "pass", "z/(1-z) failed at beta=0.4")
     bad = check_membership(geo, ClassSpec("re", beta=Fraction(3, 5)),
-                           angles=angles)
+                           angles=geo_angles)
     suite.check(bad.verdict == "fail", "z/(1-z) passed at beta=0.6")
     suite.check(bad.f_report.worst_margin < 0, "failure without a witness")
+    for beta in guard_betas:
+        side = check_membership(catalog("geometric", 1, 60),
+                                ClassSpec("re", beta=beta), angles=geo_angles,
+                                g_order=8).g_report
+        suite.check(abs(side.worst_margin) >= side.tail
+                    or side.verdict == "inconclusive",
+                    f"margin inside the tail read {side.verdict} "
+                    f"at beta={beta}")
     return suite
 
 
-def _suite_sweep(quick) -> _Suite:
+def suite_sweep(m_values, lams, samples, seed, realizable) -> _Suite:
+    """``SearchRecord.ok`` and a populated filter in every sweep cell of
+    alpha = 1 and beta = 0 over ``m_values`` x ``lams``."""
     suite = _Suite("sweep-ceiling")
-    samples = 150 if quick else 1500
-    for kind in ("alpha", "beta"):
-        for m in (1, 2):
-            param = 1 if kind == "alpha" else 0
-            rec = sweep_cell(kind, m, param, Fraction(1, 2), samples,
-                             seed="selftest/sweep", realizable=5)
-            suite.check(rec.ceiling_ok, f"ceiling violated in {kind}, m={m}")
-            suite.check(rec.ratio_a_m1 <= 1 + 1e-10,
-                        f"ratio above 1 in {kind}, m={m}")
-            suite.check(rec.filtered_count > 0,
-                        f"no realizable samples recorded in {kind}, m={m}")
+    for kind, param in (("alpha", 1), ("beta", 0)):
+        for m in m_values:
+            for lam in lams:
+                rec = sweep_cell(kind, m, param, lam, samples, seed=seed,
+                                 realizable=realizable)
+                where = f"{kind}, m={m}, lambda={lam}"
+                suite.check(rec.ceiling_ok, f"ceiling violated in {where}")
+                suite.check(rec.ok, f"ratio above 1 or ceiling violated "
+                                    f"in {where}")
+                suite.check(rec.filtered_count > 0,
+                            f"no realizable samples recorded in {where}")
     return suite
 
 
-_SUITES = (
-    _suite_inverse,
-    _suite_reductions,
-    _suite_lemma,
-    _suite_derivation,
-    _suite_membership,
-    _suite_sweep,
-)
+_IDENTITY_SPECS = (
+    [ClassSpec("arg", m=m, lam=lam, alpha=Fraction(1, 2))
+     for m in (1, 2) for lam in (Fraction(1, 2), 1)]
+    + [ClassSpec("re", m=m, lam=lam, beta=Fraction(1, 2))
+       for m in (1, 2) for lam in (Fraction(1, 2), 1)])
+
+# the selftest sizes: each suite with its arguments, for --quick and the
+# full run
+_QUICK = {
+    suite_inverse: dict(m_values=range(1, 5), per_m=6,
+                        seed="selftest/inverse"),
+    suite_reductions: dict(steps=4),
+    suite_lemma: dict(count=300, seed="selftest/lemma"),
+    suite_derivation: dict(constrained=4, realizable=4,
+                           seed="selftest/derivation"),
+    suite_membership: dict(specs=_IDENTITY_SPECS, angles=90, geo_order=120,
+                           geo_angles=90),
+    suite_sweep: dict(m_values=(1, 2), lams=(Fraction(1, 2),), samples=150,
+                      seed="selftest/sweep", realizable=5),
+}
+_FULL = {
+    suite_inverse: dict(m_values=range(1, 7), per_m=20,
+                        seed="selftest/inverse"),
+    suite_reductions: dict(steps=10),
+    suite_lemma: dict(count=3000, seed="selftest/lemma"),
+    suite_derivation: dict(constrained=25, realizable=25,
+                           seed="selftest/derivation"),
+    suite_membership: dict(specs=_IDENTITY_SPECS, angles=360, geo_order=240,
+                           geo_angles=360),
+    suite_sweep: dict(m_values=(1, 2), lams=(Fraction(1, 2),), samples=1500,
+                      seed="selftest/sweep", realizable=5),
+}
 
 
 def run_selftest(quick=False, stream=None) -> int:
@@ -198,9 +273,9 @@ def run_selftest(quick=False, stream=None) -> int:
     """
     stream = stream or sys.stdout
     failed = False
-    for build in _SUITES:
+    for run, sizes in (_QUICK if quick else _FULL).items():
         start = time.perf_counter()
-        suite = build(quick)
+        suite = run(**sizes)
         sys.stderr.write(
             f"{suite.name}: {time.perf_counter() - start:.3f} s\n")
         if suite.ok:

@@ -1,12 +1,12 @@
 """Acceptance criteria, one test per criterion, each printing PASS/FAIL.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Tolerances are pinned here and nowhere else: exact-zero on the
-rational backend, 1e-12 for float spot values and inequalities, 1 + 1e-10
-for bound ratios.
+Criteria 1-8 run the invariant suites of ``bifold.selftest`` at their own
+sizes, seeds and time limits; the suites hold the checks and their
+tolerances: exact zero on the rational backend, 1e-12 for float spot
+values and inequalities, 1 + 1e-10 for bound ratios.  Run with
+``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
-import random
 import subprocess
 import sys
 import time
@@ -14,14 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from bifold.bounds import (bound_alpha, bound_alpha_exact, bound_beta,
-                           bound_beta_exact, corollary_bounds_exact)
-from bifold.caratheodory import check_lemma1, constrained_pair, sample
-from bifold.derivation import bound_consistency, realizable_pair, solve_alpha, solve_beta
-from bifold.explore import sweep_cell
-from bifold.membership import ClassSpec, check_membership
-from bifold.mfold import MFoldFunction, catalog
-from bifold.series import TruncatedSeries
+from bifold.membership import DEFAULT_ANGLES, ClassSpec
+from bifold.selftest import (suite_derivation, suite_inverse, suite_lemma,
+                             suite_membership, suite_reductions, suite_sweep)
 
 F = Fraction
 
@@ -32,171 +27,79 @@ def report(number, name, ok, detail=""):
     assert ok, f"criterion {number} ({name}) failed {detail}"
 
 
+def outcome(suite):
+    """A suite's check count and its first failures, for a report line."""
+    text = f"checks={suite.checks}, failures={len(suite.failures)}"
+    if suite.failures:
+        text += f" ({'; '.join(suite.failures[:3])})"
+    return text
+
+
 # ----------------------------------------------------------------------
 
 
-def test_criterion_1_inversion_identity(inversion_ensemble):
-    data, build_elapsed = inversion_ensemble
+@pytest.fixture(scope="module")
+def inversion_suite():
+    """The inverse suite at the sizes of criteria 1 and 2, run once for
+    both; ``elapsed`` is its wall time."""
     t0 = time.perf_counter()
-    failures = 0
-    for m, _fn, f, g in data:
-        comp = f.compose(g)
-        assert comp.order == 3 * m + 2
-        if any(comp.coeff(n) != (1 if n == 1 else 0)
-               for n in range(comp.order + 1)):
-            failures += 1
-    elapsed = build_elapsed + (time.perf_counter() - t0)
+    suite = suite_inverse(range(1, 7), 100, "ensemble/inversion",
+                          patterns=3, pattern_seed="acceptance/eq2-pattern")
+    return suite, time.perf_counter() - t0
+
+
+def test_criterion_1_inversion_identity(inversion_suite):
+    suite, elapsed = inversion_suite
     report(1, "inversion identity (600 functions, exact)",
-           failures == 0 and elapsed < 10.0,
-           f"failures={failures}, runtime={elapsed:.2f}s < 10s")
+           suite.ok and elapsed < 10.0,
+           f"{outcome(suite)}, runtime={elapsed:.2f}s < 10s")
 
 
-def test_criterion_2_closed_form_equivalence(inversion_ensemble):
-    data, _ = inversion_ensemble
-    mismatches = 0
-    for m, fn, _f, g in data:
-        closed = fn.inverse_closed_form()
-        extracted = (g.coeff(m + 1), g.coeff(2 * m + 1), g.coeff(3 * m + 1))
-        if closed.as_tuple() != extracted:
-            mismatches += 1
-        if any(g.coeff(n) != 0 for n in range(2, g.order + 1)
-               if (n - 1) % m != 0):
-            mismatches += 1
-    rng = random.Random("acceptance/eq2-pattern")
-    pattern_ok = True
-    for _ in range(3):
-        a2, a3, a4 = (F(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(3))
-        inv = MFoldFunction(1, [a2, a3, a4]).inverse_closed_form()
-        pattern_ok &= inv.as_tuple() == (
-            -a2, 2 * a2 ** 2 - a3, -(5 * a2 ** 3 - 5 * a2 * a3 + a4))
+def test_criterion_2_closed_form_equivalence(inversion_suite):
+    suite, _ = inversion_suite
     report(2, "closed form vs reversion (exact, incl. one-fold pattern)",
-           mismatches == 0 and pattern_ok,
-           f"mismatches={mismatches}, pattern_ok={pattern_ok}")
+           suite.ok, outcome(suite))
 
 
 def test_criterion_3_reduction_identities():
-    bad = 0
-    alphas = [F(k, 10) for k in range(1, 11)]
-    betas = [F(k, 10) for k in range(10)]
-    for m in range(1, 11):
-        for a in alphas:
-            if bound_alpha_exact(m, a, 1) != \
-                    corollary_bounds_exact(6, m=m, alpha=a):
-                bad += 1
-        for b in betas:
-            if bound_beta_exact(m, b, 1) != \
-                    corollary_bounds_exact(7, m=m, beta=b):
-                bad += 1
-    for a in alphas:
-        if bound_alpha_exact(1, a, 1) != corollary_bounds_exact(10, alpha=a):
-            bad += 1
-    for b in betas:
-        if bound_beta_exact(1, b, 1) != corollary_bounds_exact(11, beta=b):
-            bad += 1
+    suite = suite_reductions(10)
     report(3, "lambda=1 reductions, squared forms, exact rational",
-           bad == 0, f"grid=10x10 per kind, mismatches={bad}")
+           suite.ok, f"grid=10x10 per kind, {outcome(suite)}")
 
 
 def test_criterion_4_spot_values():
-    b1a, b2a = bound_alpha(1, 1, 1)
-    b1b, b2b = bound_beta(1, 0, 1)
-    ok = (abs(b1a - 2 ** 0.5) < 1e-12 and abs(b2a - 5) < 1e-12
-          and abs(b1b - 2 ** 0.5) < 1e-12 and abs(b2b - 5) < 1e-12)
-    report(4, "spot values B1=sqrt(2), B2=5 at the one-fold corner", ok,
-           f"alpha:({b1a:.12f},{b2a}), beta:({b1b:.12f},{b2b})")
+    suite = suite_reductions(0)  # no grid: the spot values alone
+    report(4, "spot values B1=sqrt(2), B2=5 at the one-fold corner",
+           suite.ok, outcome(suite))
 
 
 def test_criterion_5_lemma_ensemble():
-    violations = 0
-    equality_misses = 0
-    for i in range(10_000):
-        rng = random.Random(f"acceptance/lemma/{i}")
-        atoms = rng.randint(1, 6)
-        m = rng.randint(1, 4)
-        fn = sample(f"acceptance/lemma/{i}/draw", atoms, m)
-        if not check_lemma1(fn, depth=3, tolerance=1e-12).ok:
-            violations += 1
-        if atoms == 1 and abs(abs(fn.coefficient(1)) - 2.0) > 1e-12:
-            equality_misses += 1
+    suite = suite_lemma(10_000, "acceptance/lemma")
     report(5, "coefficient inequalities over 10^4 seeded samples",
-           violations == 0 and equality_misses == 0,
-           f"violations={violations}, single-atom equality misses="
-           f"{equality_misses}")
+           suite.ok, outcome(suite))
 
 
 def test_criterion_6_derivation_ensemble():
-    lam_values = (F(1, 4), F(1, 2), F(1))
-    m_values = (1, 2, 3)
-    per_cell = 112   # 9 cells x 112 >= 10^3 pairs per kind
-    realizable_per_cell = 12
-    nonzero_constructed = 0
-    ratio_violations = 0
-    filtered = 0
-    for kind in ("alpha", "beta"):
-        for m in m_values:
-            for lam in lam_values:
-                param = F(1, 2) if kind == "alpha" else F(1, 4)
-                for i in range(per_cell):
-                    tag = f"acceptance/deriv/{kind}/{m}/{lam}/{i}"
-                    p, q = constrained_pair(tag, m, 3, backend="exact")
-                    sol = (solve_alpha(p, q, m, param, lam)
-                           if kind == "alpha"
-                           else solve_beta(p, q, m, param, lam))
-                    if sol.max_constructed_residual() != 0.0:
-                        nonzero_constructed += 1
-                    if sol.realizability == 0.0:
-                        filtered += 1
-                        if not bound_consistency(sol).ok:
-                            ratio_violations += 1
-                for i in range(realizable_per_cell):
-                    tag = f"acceptance/deriv-real/{kind}/{m}/{lam}/{i}"
-                    spec = (ClassSpec("arg", m=m, lam=lam, alpha=param)
-                            if kind == "alpha"
-                            else ClassSpec("re", m=m, lam=lam, beta=param))
-                    p, q = realizable_pair(tag, spec, backend="exact")
-                    sol = (solve_alpha(p, q, m, param, lam)
-                           if kind == "alpha"
-                           else solve_beta(p, q, m, param, lam))
-                    if any(complex(v) != 0 for v in sol.residuals.values()):
-                        nonzero_constructed += 1
-                    filtered += 1
-                    if not bound_consistency(sol).ok:
-                        ratio_violations += 1
+    # 9 cells x 112 >= 10^3 constrained pairs per kind; the 12 realizable
+    # pairs per cell are checked to have zero residuals, so a passing
+    # suite has a populated filter
+    suite = suite_derivation(112, 12, "acceptance/deriv",
+                             realizable_seed="acceptance/deriv-real")
     report(6, "derivation residuals exact; filtered ratios <= 1+1e-10",
-           nonzero_constructed == 0 and ratio_violations == 0 and filtered > 0,
-           f"pairs/kind={9 * (per_cell + realizable_per_cell)}, "
-           f"nonzero={nonzero_constructed}, filtered={filtered}, "
-           f"ratio_violations={ratio_violations}")
+           suite.ok, f"pairs/kind={9 * (112 + 12)}, {outcome(suite)}")
 
 
 def test_criterion_7_bound_sweep():
     t0 = time.perf_counter()
-    lam_values = (0.25, 0.5, 1.0)
-    ratio_violations = 0
-    ceiling_violations = 0
-    cells = 0
-    for kind, param in (("alpha", 1.0), ("beta", 0.0)):
-        for m in (1, 2, 3):
-            for lam in lam_values:
-                rec = sweep_cell(kind, m, param, lam, 10_000,
-                                 seed="acceptance/sweep", realizable=25)
-                cells += 1
-                if rec.ratio_a_m1 > 1 + 1e-10 or rec.ratio_a_2m1 > 1 + 1e-10:
-                    ratio_violations += 1
-                if kind == "alpha" and not rec.ceiling_ok:
-                    ceiling_violations += 1
+    suite = suite_sweep((1, 2, 3), (0.25, 0.5, 1.0), 10_000,
+                        "acceptance/sweep", realizable=25)
     elapsed = time.perf_counter() - t0
     report(7, "no bound violation in 10^4-sample sweeps",
-           ratio_violations == 0 and ceiling_violations == 0
-           and elapsed < 120.0,
-           f"cells={cells}, ratio_violations={ratio_violations}, "
-           f"ceiling_violations={ceiling_violations}, "
-           f"runtime={elapsed:.1f}s < 120s")
+           suite.ok and elapsed < 120.0,
+           f"cells=18, {outcome(suite)}, runtime={elapsed:.1f}s < 120s")
 
 
 def test_criterion_8_membership_sanity():
-    ident = TruncatedSeries.identity(12)
     specs = [ClassSpec("arg", m=m, lam=lam, alpha=a)
              for m in (1, 2, 3) for lam in (F(1, 2), 1)
              for a in (F(1, 4), 1)]
@@ -204,31 +107,11 @@ def test_criterion_8_membership_sanity():
               for m in (1, 2) for lam in (F(1, 2), 1)
               for b in (0, F(1, 2))]
     assert len(specs) == 20
-    ident_failures = [s.describe() for s in specs
-                      if check_membership(ident, s, angles=120).verdict
-                      != "pass"]
-
-    geo = catalog("geometric", 1, 240)
-    good = check_membership(geo, ClassSpec("re", beta=F(2, 5)))
-    bad = check_membership(geo, ClassSpec("re", beta=F(3, 5)))
-    witness = bad.f_report.witness
-    print(f"\n  beta=0.6 witness point: {witness:.6f} "
-          f"(margin {bad.f_report.worst_margin:.6f})")
-
-    # forced low-order inverse: margins below the tail are never a pass
-    never_pass = True
-    for beta in (F(1, 2), F(11, 20), F(23, 40)):
-        rep = check_membership(catalog("geometric", 1, 60),
-                               ClassSpec("re", beta=beta), g_order=8)
-        side = rep.g_report
-        if abs(side.worst_margin) < side.tail:
-            never_pass &= side.verdict == "inconclusive"
+    suite = suite_membership(specs, angles=120, geo_order=240,
+                             geo_angles=DEFAULT_ANGLES,
+                             guard_betas=(F(1, 2), F(11, 20), F(23, 40)))
     report(8, "membership sanity (identity grid, pass/fail, inconclusive)",
-           not ident_failures and good.verdict == "pass"
-           and bad.verdict == "fail" and bad.f_report.worst_margin < 0
-           and never_pass,
-           f"identity_failures={ident_failures}, good={good.verdict}, "
-           f"bad={bad.verdict}, inconclusive_guard={never_pass}")
+           suite.ok, outcome(suite))
 
 
 def test_criterion_9_determinism():

@@ -303,3 +303,44 @@ def test_solve_coeffs_names_a_malformed_atom(atoms):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: atom {atoms!r}")
     assert "weight@degrees" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("membership", "--name", "geometric", "--kind", "arg", "--beta", "0.6"),
+     "--beta"),
+    (("membership", "--name", "geometric", "--kind", "re", "--alpha", "1/2"),
+     "--alpha"),
+    (("solve-coeffs", "--kind", "alpha", "--beta", "1/4"), "--beta"),
+    (("solve-coeffs", "--kind", "beta", "--alpha", "1/2"), "--alpha"),
+], ids=["membership-arg-beta", "membership-re-alpha", "solve-alpha-beta",
+        "solve-beta-alpha"])
+def test_class_parameter_the_kind_ignores_exits_2(argv, flag, capsys):
+    from bifold.cli import main
+
+    assert main([*argv, "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {flag} does not apply to --kind")
+    assert out == ""
+
+
+def test_config_may_hold_both_class_parameters(tmp_path, capsys):
+    from bifold.cli import main
+
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"alpha": "1/2", "beta": "1/4"}))
+    for kind in ("alpha", "beta"):
+        assert main(["solve-coeffs", "--kind", kind, "--config", str(config),
+                     "--no-timestamp"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_exact_complex_prints_by_value():
+    from fractions import Fraction
+
+    from bifold.cli import _fmt, _jsonable
+    from bifold.series import QComplex
+
+    third = Fraction(1, 3)
+    assert _fmt(QComplex(third)) == _fmt(third) == "1/3"
+    assert _jsonable(QComplex(third)) == _jsonable(third) == "1/3"
+    assert _fmt(QComplex(third, -2)) == "1/3-2i"

@@ -3,8 +3,10 @@
 Each case runs one small ``bifold`` command in-process and compares its
 stdout, byte for byte, with the file of the same name under ``golden/``.
 The files were written by ``python -m bifold <argv>`` before the class
-formulas, sampling recipes and invariant checks were given one home each,
-so they pin the outputs that restructuring must keep.  A mismatch is a
+formulas, sampling recipes and invariant checks were given one home each
+(``selftest-full.txt`` before the selftest suites began to serve the
+acceptance tests too), so they pin the outputs that restructuring must
+keep.  A mismatch is a
 regression to fix in the code; rewriting a file to match new output defeats
 the test.  JSON prints floats at full repr, so equal bytes mean equal bits.
 """

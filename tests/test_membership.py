@@ -93,6 +93,14 @@ def test_spec_validation():
         ClassSpec("arg")  # alpha missing
 
 
+@pytest.mark.parametrize("m", [1.5, 0])
+def test_spec_refuses_what_the_bounds_refuse(m):
+    # the spec and its bounds() apply the same fold-order check
+    with pytest.raises(ValueError, match="fold order m must be a positive "
+                                         "integer"):
+        ClassSpec("re", m=m, beta=0)
+
+
 # ----------------------------------------------------------------------
 # verdicts
 
