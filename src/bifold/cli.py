@@ -173,8 +173,11 @@ def _refuse_ignored_param(args, given, uses_alpha):
 
 
 def cmd_bounds(args):
+    given = {key for key, value in vars(args).items() if value is not None}
     args = _apply_config(args, {
         "kind": "both", "m": "1", "alpha": "1", "beta": "0", "lam": "1"})
+    if args.kind != "both":
+        _refuse_ignored_param(args, given, args.kind == "alpha")
     kinds = ("alpha", "beta") if args.kind == "both" else (args.kind,)
     m_values = _parse_list(args.m, int)
     lam_values = _parse_list(args.lam, _parse_fraction)
@@ -379,10 +382,13 @@ def cmd_caratheodory_sample(args):
 
 
 def cmd_search(args):
+    given = {key for key, value in vars(args).items() if value is not None}
     args = _apply_config(args, {
         "kind": "both", "m": "1,2,3", "alpha": "1/2,1", "beta": "0,1/2",
         "lam": "1/4,1/2,1", "samples": 200, "seed": 0, "atoms": 3,
         "realizable": 5, "mode": "sweep", "iterations": 500})
+    if args.kind != "both":
+        _refuse_ignored_param(args, given, args.kind == "alpha")
     kinds = ("alpha", "beta") if args.kind == "both" else (args.kind,)
     m_values = _parse_list(args.m, int)
     lam_values = [float(x) for x in _parse_list(args.lam, _parse_fraction)]

@@ -88,9 +88,11 @@ class SearchRecord:
 
     @property
     def ok(self) -> bool:
-        """The cell's verdict: both filtered ratios at most 1 + 1e-10 and
-        the unfiltered |a_{m+1}| under the ceiling."""
-        return (self.ratio_a_m1 <= 1 + 1e-10 and self.ratio_a_2m1 <= 1 + 1e-10
+        """The cell's verdict: a nonempty filter, both filtered ratios at
+        most 1 + 1e-10 and the unfiltered |a_{m+1}| under the ceiling."""
+        return (self.filtered_count > 0
+                and self.ratio_a_m1 <= 1 + 1e-10
+                and self.ratio_a_2m1 <= 1 + 1e-10
                 and self.ceiling_ok)
 
 

@@ -6,7 +6,7 @@ Both function classes are carved out by the same functional
 
 an arg-type condition |arg Phi| < alpha*pi/2 or a re-type condition
 Re Phi > beta, imposed on f and on its inverse g.  On the series side the
-fractional power is computed through log/exp around the constant term 1
+fractional power is taken as a power series around the constant term 1
 (which is Phi(0) and keeps the principal branch well defined near the
 origin); at lambda = 1 the two summands coincide and Phi is exactly
 z f'/f.

@@ -136,7 +136,10 @@ class MFoldFunction:
         if order is None:
             order = 3 * self.m + 2
         order = max(order, 3 * self.m + 1)
-        g = self.to_series(order).revert()
+        return self._read_inverse(self.to_series(order).revert())
+
+    def _read_inverse(self, g) -> InverseCoefficients:
+        """The three inverse coefficients of g, the reverted expansion."""
         m = self.m
         for n in range(2, g.order + 1):
             if (n - 1) % m != 0 and g.coeffs[n] != 0:
@@ -199,7 +202,7 @@ def catalog(name: str, m: int = 1, order=None) -> TruncatedSeries:
             [Fraction(1, n) if n % 2 == 1 else Fraction(0)
              for n in range(order + 1)])
     if name in ("mfold-geometric", "mfold-log", "mfold-atanh"):
-        base = catalog(name.removeprefix("mfold-"), 1, order)
-        inner = base.stretch(m).shift_down(m).truncate(order - 1)
-        return inner.pow(Fraction(1, m)).shift_up(1)
+        # the base to order ceil(order/m) fixes the root through z^order
+        base = catalog(name.removeprefix("mfold-"), 1, -(-order // m))
+        return root_transform(base, m).truncate(order)
     raise ValueError(f"unknown catalog entry {name!r}")

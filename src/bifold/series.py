@@ -12,12 +12,14 @@ Two coefficient backends are supported:
     Arbitrary-precision rationals (:class:`fractions.Fraction`) and exact
     complex rationals (:class:`QComplex`, a pair of Fractions).  Sums,
     products, quotients, composition, reversion and rational powers stay
-    exact: ``pow(a, r) = exp0(r * log1(a))`` only ever divides by integers,
-    so a rational exponent keeps the whole pipeline rational.
+    exact.  Products, reversion and rational powers run on Python ints
+    over one common denominator and form one Fraction per coefficient;
+    a rational power uses Miller's recurrence, whose weights are integers.
 
 ``float``
     Machine-precision ``complex`` coefficients with numpy-backed
-    convolution.  Comparisons need explicit tolerances.
+    convolution; ``pow(a, r) = exp0(r * log1(a))``.  Comparisons need
+    explicit tolerances.
 
 Series are immutable after construction and safe to share across threads.
 """
@@ -25,7 +27,7 @@ Series are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import copysign, hypot
+from math import copysign, gcd, hypot, lcm
 from numbers import Rational
 
 import numpy as np
@@ -285,7 +287,7 @@ def _has_negative_zero(value) -> bool:
                for part in (value.real, value.imag))
 
 
-# Zero skipping.  The exact product kernel, the division and exp0 form no
+# Zero skipping.  The exact kernels below, the division and exp0 form no
 # term with a zero factor, which leaves the zero slots of an m-fold series
 # free.  Exact values do not change (a coefficient may come out as a
 # Fraction where a formed zero QComplex term made it a QComplex).  Float
@@ -301,19 +303,196 @@ def _has_negative_zero(value) -> bool:
 #   complex(0.0, -0.0) coefficients, and one such slot spelled out.
 
 
-def _mul_coeffs_exact(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order:
-            break
-        if _is_zero(ai):
+# Exact kernels on integers.  A Fraction operation pays a gcd on every term;
+# the products, the reversion powers and the rational power below write their
+# operands as integer numerators over one common denominator instead, and form
+# one Fraction per output coefficient.
+
+
+def _to_ints(coeffs, order):
+    """coeffs[:order + 1] as integer numerators over one denominator.
+
+    Returns ``(re, im, den)``: the numerators of the real and of the
+    imaginary parts over ``den``, the lcm of every part's denominator.
+    ``im`` is None when no imaginary part is nonzero.
+    """
+    reals = [c.real for c in coeffs[: order + 1]]
+    imags = [c.imag for c in coeffs[: order + 1]]
+    if not any(imags):
+        imags = None
+    parts = reals + (imags or [])
+    den = lcm(*(x.denominator for x in parts))
+    re = [x.numerator * (den // x.denominator) for x in reals]
+    im = imags and [x.numerator * (den // x.denominator) for x in imags]
+    return re, im, den
+
+
+def _from_ints(re, im, den):
+    """The scalars (re + i im) / den, as Fractions when im is None."""
+    if im is None:
+        return [Fraction(x, den) for x in re]
+    return [QComplex(Fraction(x, den), Fraction(y, den))
+            for x, y in zip(re, im)]
+
+
+def _convolve(a, b, order):
+    """Integer product coefficients through z^order, zero terms skipped."""
+    out = [0] * (order + 1)
+    b_terms = [(j, bj) for j, bj in enumerate(b[: order + 1]) if bj]
+    for i, ai in enumerate(a[: order + 1]):
+        if not ai:
             continue
-        for j, bj in enumerate(b):
-            if i + j > order:
+        top = order - i
+        for j, bj in b_terms:
+            if j > top:
                 break
-            if _is_zero(bj):
-                continue
-            out[i + j] = out[i + j] + ai * bj
+            out[i + j] += ai * bj
+    return out
+
+
+def _mul_ints(a_re, a_im, b_re, b_im, order):
+    """Numerators (re, im) of the product of two Gaussian numerator lists;
+    a missing imaginary part skips its two convolutions."""
+    re = _convolve(a_re, b_re, order)
+    im = None
+    if a_im is not None and b_im is not None:
+        re = [x - y for x, y in zip(re, _convolve(a_im, b_im, order))]
+    for x, y in ((a_re, b_im), (a_im, b_re)):
+        if x is not None and y is not None:
+            part = _convolve(x, y, order)
+            im = part if im is None else [u + v for u, v in zip(im, part)]
+    return re, im
+
+
+def _mul_coeffs_exact(a, b, order):
+    a_re, a_im, a_den = _to_ints(a, order)
+    b_re, b_im, b_den = _to_ints(b, order)
+    return _from_ints(*_mul_ints(a_re, a_im, b_re, b_im, order),
+                      a_den * b_den)
+
+
+def _axpy(acc, w, x, start):
+    """acc[j] += w x[j] for j >= start, skipping zero terms."""
+    if w:
+        for j in range(start, len(x)):
+            if x[j]:
+                acc[j] += w * x[j]
+
+
+def _revert_exact(coeffs):
+    """Reversion of a normalized exact series by the coefficient recursion
+    b_j = -sum_{k<j} b_k [z^j] f^k.
+
+    Each power f^k is kept as primitive integer numerators over one
+    denominator: the gcd of the numerators and the denominator is divided
+    out after every product, so the denominator is the lcm of the
+    coefficient denominators of f^k.  The partial sums of b_k f^k are kept
+    as integer numerators over the lcm of the denominators added so far,
+    and f^k enters them as soon as it is formed, so one power is held at a
+    time and each b_j costs one Fraction.
+    """
+    n = len(coeffs) - 1
+    f_re, f_im, f_den = _to_ints(coeffs, n)
+    re, im, den = f_re, f_im, f_den  # f^k
+    acc_re = [0] * (n + 1)  # sum of b_k f^k so far, over acc_den
+    acc_im = f_im and [0] * (n + 1)
+    acc_den = 1
+    b = [Fraction(0), Fraction(1)]
+    for k in range(1, n):
+        if b[k]:
+            (w_re,), w_im, w_den = _to_ints(b[k: k + 1], 0)
+            term_den = w_den * den
+            if acc_den % term_den:
+                grow = term_den // gcd(acc_den, term_den)
+                acc_re = [x * grow for x in acc_re]
+                acc_im = acc_im and [x * grow for x in acc_im]
+                acc_den *= grow
+            scale = acc_den // term_den
+            w_re *= scale
+            w_im = w_im[0] * scale if w_im else 0
+            _axpy(acc_re, w_re, re, k + 1)
+            if im is not None:
+                _axpy(acc_re, -w_im, im, k + 1)
+                _axpy(acc_im, w_re, im, k + 1)
+                _axpy(acc_im, w_im, re, k + 1)
+        b += _from_ints([-acc_re[k + 1]], acc_im and [-acc_im[k + 1]],
+                        acc_den)
+        if k + 1 < n:
+            re, im = _mul_ints(re, im, f_re, f_im, n)
+            den *= f_den
+            g = gcd(den, *re, *(im or ()))
+            re = [x // g for x in re]
+            im = im and [x // g for x in im]
+            den //= g
+    return b[: n + 1]
+
+
+def _miller_sum(a, b, n, c, d):
+    """Numerators (re, im) of sum_k (c k - d) a_k b_{n-k}.
+
+    ``a`` holds the nonzero terms (k, a_k) of the real and of the imaginary
+    parts (None when real), ``b`` the numerator lists of the two parts (the
+    imaginary one None when real); a zero term is skipped.
+    """
+    def dot(a_terms, b_part):
+        acc = 0
+        for k, ak in a_terms:
+            if k > n:
+                break
+            bk = b_part[n - k]
+            if bk:
+                acc += (c * k - d) * ak * bk
+        return acc
+
+    (a_re, a_im), (b_re, b_im) = a, b
+    re = dot(a_re, b_re)
+    im = dot(a_re, b_im) if b_im else 0
+    if a_im:
+        re -= dot(a_im, b_im)
+        im += dot(a_im, b_re)
+    return re, im
+
+
+def _pow_exact(coeffs, exponent):
+    """coeffs^exponent for coeffs[0] = 1 by J. C. P. Miller's recurrence.
+
+    For exponent p/q: n q b_n = sum_{k=1}^n ((p + q) k - n q) a_k b_{n-k}
+    (Knuth, TAOCP Vol. 2, 4.7), one pass with integer weights.  The a_k
+    are numerators over their common denominator and b_0 .. b_{n-1} are
+    numerators over C, the lcm of their own denominators, so each b_n
+    costs integer products and one Fraction.  A complex p = p_re + i p_im
+    adds i p_im sum_k k a_k b_{n-k}.  Zero terms are skipped.
+    """
+    order = len(coeffs) - 1
+    a_re, a_im, a_den = _to_ints(coeffs, order)
+    p_re, p_im = exponent.real, exponent.imag
+    q = lcm(p_re.denominator, p_im.denominator)
+    c_re = p_re.numerator * (q // p_re.denominator) + q
+    c_im = p_im.numerator * (q // p_im.denominator)
+    complex_out = a_im is not None or c_im != 0
+    a = [[(k, x) for k, x in enumerate(part) if k and x] if part else None
+         for part in (a_re, a_im)]
+    b = [[1], [0] if complex_out else None]  # b_0 .. b_{n-1} over den
+    den = 1
+    out = [Fraction(1)]
+    for n in range(1, order + 1):
+        re, im = _miller_sum(a, b, n, c_re, n * q)
+        if c_im:
+            x_re, x_im = _miller_sum(a, b, n, c_im, 0)
+            re, im = re - x_im, im + x_re
+        total = n * q * a_den * den
+        g = gcd(total, re, im)
+        re, im, b_den = re // g, im // g, total // g
+        out.append(QComplex(Fraction(re, b_den), Fraction(im, b_den))
+                   if complex_out else Fraction(re, b_den))
+        if den % b_den:
+            grow = b_den // gcd(den, b_den)
+            b = [part and [x * grow for x in part] for part in b]
+            den *= grow
+        scale = den // b_den
+        b[0].append(re * scale)
+        if complex_out:
+            b[1].append(im * scale)
     return out
 
 
@@ -588,11 +767,13 @@ class TruncatedSeries:
 
         Requires the normalized shape c[0] = 0, c[1] = 1.  Solved by
         coefficient recursion on the identity g(f(z)) = z, using the
-        precomputed powers f^k.
+        powers f^k (over integers on the exact backend).
         """
         if not self.is_normalized():
             raise ValueError("reversion needs a normalized series "
                              "(c[0] = 0, c[1] = 1)")
+        if self.backend == EXACT:
+            return TruncatedSeries(_revert_exact(self.coeffs))
         n = self.order
         zero = _coerce_scalar(0, self.backend)
         powers = [None, self]
@@ -645,8 +826,9 @@ class TruncatedSeries:
 
         Nonnegative integer exponents work for any series (repeated
         multiplication).  Fractional (or negative) exponents require
-        constant term exactly 1 and go through exp0(exponent * log1(a)),
-        which keeps rational input rational.
+        constant term exactly 1.  The exact backend uses Miller's
+        recurrence, which keeps rational input rational; floats go through
+        exp0(exponent * log1(a)).
         """
         if isinstance(exponent, int) and exponent >= 0:
             if exponent == 0:
@@ -661,6 +843,8 @@ class TruncatedSeries:
             raise ValueError("fractional powers need constant term exactly 1")
         if exponent == 1:
             return self
+        if self.backend == EXACT:
+            return TruncatedSeries(_pow_exact(self.coeffs, exponent))
         return (self.log1() * exponent).exp0()
 
     __pow__ = pow

@@ -312,8 +312,16 @@ def test_solve_coeffs_names_a_malformed_atom(atoms):
      "--alpha"),
     (("solve-coeffs", "--kind", "alpha", "--beta", "1/4"), "--beta"),
     (("solve-coeffs", "--kind", "beta", "--alpha", "1/2"), "--alpha"),
+    (("search", "--kind", "alpha", "--m", "1", "--alpha", "1", "--beta",
+      "1/4", "--lambda", "1", "--samples", "5"), "--beta"),
+    (("search", "--kind", "beta", "--alpha", "1/2", "--samples", "5"),
+     "--alpha"),
+    (("bounds", "--kind", "alpha", "--m", "1", "--alpha", "1", "--beta",
+      "1/4", "--lambda", "1"), "--beta"),
+    (("bounds", "--kind", "beta", "--alpha", "1/2"), "--alpha"),
 ], ids=["membership-arg-beta", "membership-re-alpha", "solve-alpha-beta",
-        "solve-beta-alpha"])
+        "solve-beta-alpha", "search-alpha-beta", "search-beta-alpha",
+        "bounds-alpha-beta", "bounds-beta-alpha"])
 def test_class_parameter_the_kind_ignores_exits_2(argv, flag, capsys):
     from bifold.cli import main
 
@@ -331,7 +339,36 @@ def test_config_may_hold_both_class_parameters(tmp_path, capsys):
     for kind in ("alpha", "beta"):
         assert main(["solve-coeffs", "--kind", kind, "--config", str(config),
                      "--no-timestamp"]) == 0
+        assert main(["bounds", "--kind", kind, "--config", str(config),
+                     "--no-timestamp"]) == 0
+        assert main(["search", "--kind", kind, "--m", "1", "--lambda", "1",
+                     "--samples", "5", "--config", str(config),
+                     "--no-timestamp"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["bounds", "search"])
+def test_kind_both_takes_both_class_parameters(command, capsys):
+    from bifold.cli import main
+
+    extra = ["--samples", "5"] if command == "search" else []
+    assert main([command, "--kind", "both", "--m", "1", "--alpha", "1",
+                 "--beta", "1/4", "--lambda", "1", *extra,
+                 "--no-timestamp"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == \
+        ["alpha", "beta"]
+
+
+def test_search_fails_a_cell_with_no_filtered_sample():
+    proc = run_cli("search", "--kind", "alpha", "--m", "1", "--alpha", "1",
+                   "--lambda", "1", "--samples", "5", "--realizable", "0",
+                   "--no-timestamp", check=False)
+    assert proc.returncode == 1
+    header, row = proc.stdout.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["filtered_count"] \
+        == "0"
 
 
 def test_exact_complex_prints_by_value():

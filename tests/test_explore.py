@@ -38,6 +38,8 @@ def test_sweep_cell_without_realizable_seeds_reports_empty():
     assert rec.argmax_seed == ""
     # the unfiltered statistics are still populated
     assert rec.max_a_m1_unfiltered > 0
+    # a cell with no filtered evidence does not pass
+    assert rec.ceiling_ok and not rec.ok
 
 
 def test_argmax_seed_reproduces_maximum():

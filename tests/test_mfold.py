@@ -75,6 +75,18 @@ def test_closed_form_equals_reversion_random(m):
             == fn.inverse_by_reversion().as_tuple()
 
 
+def test_check_inversion_reverts_once(monkeypatch):
+    from bifold.selftest import check_inversion
+
+    orders = []
+    revert = TruncatedSeries.revert
+    monkeypatch.setattr(TruncatedSeries, "revert",
+                        lambda self: orders.append(self.order) or revert(self))
+    assert check_inversion(random.Random("mfold/revert-once"), 3) == \
+        (True, True)
+    assert orders == [11]  # one reversion at order 3m + 2
+
+
 def test_reverted_series_keeps_symmetry():
     fn = MFoldFunction(3, [F(1, 2), F(-1, 3), F(1, 5)])
     g = fn.to_series(11).revert()
@@ -185,3 +197,20 @@ def test_from_series_checks_symmetry():
     ok = MFoldFunction.from_series(
         MFoldFunction(2, [F(1, 2), F(1, 3), 0]).to_series(8), 2, 3)
     assert ok.coeffs == (F(1, 2), F(1, 3), 0)
+
+
+def reference_mfold_entry(name, m, order):
+    """The m-fold catalog recipe before it went through root_transform: the
+    base entry to ``order``, stretched, and its 1/m-th power."""
+    base = catalog(name.removeprefix("mfold-"), 1, order)
+    inner = base.stretch(m).shift_down(m).truncate(order - 1)
+    return inner.pow(F(1, m)).shift_up(1)
+
+
+@pytest.mark.parametrize("name", ["mfold-geometric", "mfold-log",
+                                  "mfold-atanh"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_catalog_mfold_entries_match_the_stretched_power(name, m):
+    for order in (5, 6, 7, 12, 13, 29, 61):
+        assert list(catalog(name, m, order)) == \
+            list(reference_mfold_entry(name, m, order)), order

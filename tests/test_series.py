@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bifold.series import (ComplexBatch, QComplex, TruncatedSeries,
                            geometric_series)
@@ -494,3 +494,114 @@ def test_division_forms_every_term_after_a_negative_zero_start():
     assert bits(expected[1]) == ("0x0.0p+0", "0x0.0p+0")
     quotient = TruncatedSeries.floating(num) / TruncatedSeries.floating(den)
     assert [bits(z) for z in quotient] == [bits(z) for z in expected]
+
+
+# ----------------------------------------------------------------------
+# integer kernels against the Fraction loops they replaced
+
+
+def schoolbook_mul(a, b):
+    """The exact product kernel before the integer kernels, truncated to
+    len(a): one Fraction operation per nonzero term."""
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: len(a) - i]):
+            if x and y:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def reference_revert(coeffs, mul, zero, one):
+    """The reversion loop before the integer kernels: every power f^k by
+    ``mul``, every term of the recursion formed."""
+    n = len(coeffs) - 1
+    powers = [None, list(coeffs)]
+    for _ in range(2, n + 1):
+        powers.append(mul(powers[-1], coeffs))
+    b = [zero, one]
+    for j in range(2, n + 1):
+        acc = zero
+        for k in range(1, j):
+            acc = acc + b[k] * powers[k][j]
+        b.append(-acc)
+    return b
+
+
+def reference_pow(series, exponent):
+    """The rational power before Miller's recurrence."""
+    return list((series.log1() * exponent).exp0())
+
+
+def float_mul(a, b):
+    return list(TruncatedSeries.floating(a) * TruncatedSeries.floating(b))
+
+
+# small and large pairwise coprime denominators
+DENOMINATORS = [1, 2, 3, 7, 9, 2 ** 31 - 1, 10 ** 9 + 7, 5 ** 13, 3 ** 20]
+
+rationals_st = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                         st.sampled_from(DENOMINATORS))
+exact_values_st = st.one_of(
+    rationals_st,
+    st.builds(QComplex, rationals_st,
+              rationals_st.filter(bool)))  # a nonzero imaginary part
+
+
+@st.composite
+def m_fold_tails(draw, offset):
+    """Coefficients c[0..n] that vanish unless n = offset (mod m)."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 24))
+    return [draw(exact_values_st) if k % m == offset % m else Fraction(0)
+            for k in range(n + 1)]
+
+
+@given(m_fold_tails(offset=1))
+@settings(max_examples=60, deadline=None)
+def test_exact_revert_matches_the_schoolbook_recursion(coeffs):
+    coeffs[:2] = [Fraction(0), Fraction(1)]
+    assert list(S(coeffs).revert()) == \
+        reference_revert(coeffs, schoolbook_mul, Fraction(0), Fraction(1))
+
+
+@given(m_fold_tails(offset=0),
+       st.builds(Fraction, st.integers(-7, 7), st.integers(1, 7)))
+@settings(max_examples=60, deadline=None)
+@example([Fraction(1), QComplex(Fraction(1, 3), 2), Fraction(5, 7)],
+         Fraction(-3, 2))
+@example([Fraction(1), Fraction(0), Fraction(2, 10 ** 9 + 7)], Fraction(0))
+def test_exact_pow_matches_exp0_of_log1(coeffs, exponent):
+    coeffs[0] = Fraction(1)
+    series = S(coeffs)
+    assert list(series.pow(exponent)) == reference_pow(series, exponent)
+
+
+def test_exact_pow_with_a_complex_exponent_matches_exp0_of_log1():
+    series = S([Fraction(1), Fraction(1, 2), QComplex(0, Fraction(2, 3)),
+                Fraction(0), Fraction(-5, 7), QComplex(1, 1)])
+    for exponent in (QComplex(Fraction(1, 2), Fraction(-1, 3)),
+                     QComplex(0, 1), QComplex(Fraction(-2, 5))):
+        assert list(series.pow(exponent)) == reference_pow(series, exponent)
+
+
+@given(m_fold_tails(offset=0), m_fold_tails(offset=0))
+@settings(max_examples=60, deadline=None)
+def test_exact_product_matches_the_schoolbook_product(a, b):
+    n = min(len(a), len(b)) - 1
+    assert list(S(a) * S(b)) == brute_mul(a, b)[: n + 1]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_float_revert_and_pow_keep_every_bit(seed):
+    rng = random.Random(f"float-kernels/{seed}")
+    n = rng.randint(2, 24)
+    m = rng.randint(1, 3)
+    tail = [random_complexes(rng, 1)[0] if k % m == 1 % m
+            else rng.choice(FLOAT_ZEROS) for k in range(2, n + 1)]
+    coeffs = [0j, 1 + 0j] + tail
+    assert [bits(z) for z in TruncatedSeries.floating(coeffs).revert()] == \
+        [bits(z) for z in reference_revert(coeffs, float_mul, 0j, 1 + 0j)]
+    series = TruncatedSeries.floating([1 + 0j] + tail)
+    for exponent in (0.5, -1 / 3, -2.0, 0.0, 1.5 - 0.25j):
+        assert [bits(z) for z in series.pow(exponent)] == \
+            [bits(z) for z in reference_pow(series, exponent)]
