@@ -10,13 +10,15 @@ land on the realizability manifold, so cells can optionally mix in
 constructed realizable pairs to keep the filtered statistics populated.
 
 A cell's constrained samples run in blocks, bit for bit as a loop of
-``constrained_pair`` -> ``_solve`` would: each sample is drawn alone from
-its own seeded ``random.Random`` (the same tags, the same call order), and
-the block's checks, moments and ``solve_moments`` then run on
-``series.ComplexBatch`` arrays, which round exactly as Python's ``complex``
-does.  Every maximum and every ``argmax_seed`` therefore equals the
-one-pair-at-a-time result, and ``constrained_pair(argmax_seed, ...)``
-(or ``realizable_pair`` for a realizable tag) replays it exactly.
+``constrained_pair`` -> ``_solve`` would.  Each sample is still seeded
+alone (the same tags, the same ``random.Random`` call order), but a block
+is drawn in one pass over its tags, with the recipe's transforms applied
+per column (``caratheodory._pair_atoms_block``).  The block's checks,
+moments and ``solve_moments`` then run on ``series.ComplexBatch`` arrays,
+which round exactly as Python's ``complex`` does.  Every maximum and
+every ``argmax_seed`` therefore equals the one-pair-at-a-time result, and
+``constrained_pair(argmax_seed, ...)`` (or ``realizable_pair`` for a
+realizable tag) replays it exactly.
 
 The hill climber perturbs atom angles and weights of the p side
 coordinate-by-coordinate, accepting improvements of |a_{m+1}|.  Because the
@@ -35,20 +37,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bounds_mod
-from .caratheodory import (CaratheodoryFunction, _pair_atoms, _subseed,
-                           constrained_pair)
+from .caratheodory import (CaratheodoryFunction, _pair_atoms_block,
+                           _subseed, constrained_pair)
 from .derivation import (class_constants, realizable_pair, _solve,
                          _solve_batch)
 from .membership import ClassSpec
-from .series import FLOAT, ComplexBatch
 
 __all__ = ["SearchRecord", "sweep_cell", "sweep", "hill_climb",
            "ClimbRecord", "DEFAULT_REALIZABILITY_THRESHOLD"]
 
 DEFAULT_REALIZABILITY_THRESHOLD = 1e-8
 # Constrained samples are drawn, checked and solved this many at a time, so
-# memory stays flat however many samples a cell takes.  The per-sample draw
-# dominates a block's cost, so larger blocks save little time, and they
+# memory stays flat however many samples a cell takes.  Seeding each
+# sample's stream is the largest cost left, and it is paid per sample
+# whatever the block size, so larger blocks save little time, and they
 # raised peak memory measurably (heap fragmentation from block-sized arrays).
 _BLOCK = 256
 
@@ -108,6 +110,8 @@ def sweep_cell(kind, m, param, lam, samples, seed,
     for name, count in (("samples", samples), ("realizable", realizable)):
         if count < 0:
             raise ValueError(f"{name} must be >= 0, got {count}")
+    if atom_count < 1:
+        raise ValueError("atom count must be >= 1")
     spec = ClassSpec.from_kind(kind, m, param, lam)
     constants = class_constants(spec, exact=False)
     lam_f = float(lam)
@@ -138,10 +142,12 @@ def sweep_cell(kind, m, param, lam, samples, seed,
                 best["fseed"] = tags[i]
             best["f2"] = max(best["f2"], float(np.max(a2[kept])))
 
+    prefix = _subseed(seed, kind, m, param_f, lam_f)
     for start in range(0, samples, _BLOCK):
-        tags = [_subseed(seed, kind, m, param_f, lam_f, i)
+        tags = [f"{prefix}/{i}"  # _subseed(seed, kind, m, param_f, lam_f, i)
                 for i in range(start, min(start + _BLOCK, samples))]
-        solution = _solve_batch(*_draw_block(tags, m, atom_count), constants)
+        solution = _solve_batch(*_pair_atoms_block(tags, m, atom_count),
+                                constants)
         record(abs(solution.a_m1), abs(solution.a_2m1),
                abs(solution.residuals["addition"]), tags)
     for i in range(realizable):
@@ -163,24 +169,6 @@ def sweep_cell(kind, m, param, lam, samples, seed,
         ceiling=bounds_mod.structural_ceiling(m, param, lam, kind),
         argmax_seed=best["fseed"], argmax_seed_unfiltered=best["useed"],
         threshold=threshold)
-
-
-def _draw_block(tags, m, atom_count):
-    """The atoms of ``constrained_pair(tag, m, atom_count)`` for each tag.
-
-    Each tag is drawn alone, with the pair recipe's own helper, and written
-    straight into preallocated arrays.  Returns (p_atoms, q_atoms) by atom
-    position: a weight array and ComplexBatch points, one entry per tag.
-    """
-    for i, tag in enumerate(tags):
-        p_atoms, q_atoms = _pair_atoms(tag, m, atom_count, FLOAT)
-        if i == 0:
-            shape = (2, len(p_atoms), len(tags))
-            weights, points = np.empty(shape), np.empty(shape, dtype=complex)
-        weights[0, :, i], points[0, :, i] = zip(*p_atoms)
-        weights[1, :, i], points[1, :, i] = zip(*q_atoms)
-    return tuple([(w, ComplexBatch(z.real, z.imag)) for w, z in zip(ws, zs)]
-                 for ws, zs in zip(weights, points))
 
 
 def sweep(kinds, m_values, params_by_kind, lam_values, samples, seed,

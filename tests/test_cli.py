@@ -273,6 +273,16 @@ def test_negative_counts_exit_2(argv):
     assert proc.stdout == ""
 
 
+def test_search_refuses_zero_atoms_before_drawing():
+    # with no sample to draw, the count used to go unchecked: a row, exit 1
+    proc = run_cli("search", "--kind", "alpha", "--m", "1", "--alpha", "1",
+                   "--lambda", "1", "--samples", "0", "--realizable", "0",
+                   "--atoms", "0", "--no-timestamp", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: atom count must be >= 1\n"
+    assert proc.stdout == ""
+
+
 def test_selftest_times_each_suite_on_stderr():
     proc = run_cli("selftest", "--quick")
     suites = [line.split(":")[0] for line in proc.stdout.splitlines()[:-1]]

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from bifold.caratheodory import (CaratheodoryFunction, _float_faults,
-                                 constrained_pair)
+                                 _pair_atoms_block, constrained_pair)
 from bifold.derivation import (_solve_batch, bound_consistency,
                                class_constants, forward_verify,
                                realizable_pair, solve_alpha, solve_beta,
                                solve_moments)
-from bifold.explore import _draw_block
 from bifold.membership import ClassSpec
 from bifold.series import ComplexBatch, QComplex
 
@@ -230,7 +229,8 @@ def test_solve_moments_on_a_batch_is_bit_identical(spec):
 @pytest.mark.parametrize("part", ["weight", "point"])
 def test_solve_batch_flags_a_nan_set(part):
     spec = ClassSpec("re", m=2, lam=0.5, beta=0.25)
-    p_atoms, q_atoms = _draw_block([f"nan/{i}" for i in range(6)], 2, 3)
+    tags = [f"nan/{i}" for i in range(6)]
+    p_atoms, q_atoms = _pair_atoms_block(tags, 2, 3)
     weights, points = p_atoms[1]
     if part == "weight":
         weights[4] = float("nan")

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bifold import caratheodory, explore
@@ -11,6 +12,7 @@ from bifold.caratheodory import (CaratheodoryFunction, _subseed,
 from bifold.derivation import _solve, realizable_pair
 from bifold.explore import SearchRecord, hill_climb, sweep, sweep_cell
 from bifold.membership import ClassSpec
+from bifold.series import ComplexBatch
 
 F = Fraction
 
@@ -201,6 +203,11 @@ def test_filtered_argmax_seed_reproduces_maximum():
     assert sol.realizability <= rec.threshold
 
 
+def _broken(fault, xi):
+    # a tail that no longer cancels, or a point off the circle
+    return xi * xi if fault == "gap" else 1.5 * xi
+
+
 def _broken_tails(fault):
     """A _tail_atoms that breaks some pairs the way ``fault`` names."""
     original = caratheodory._tail_atoms
@@ -209,15 +216,33 @@ def _broken_tails(fault):
         atoms = original(rng, count, s, backend)
         (h, xi), _ = atoms[:2]
         if xi.real > 0.95:
-            # a tail that no longer cancels, or a point off the circle
-            atoms[1] = (h, xi * xi) if fault == "gap" else (h, 1.5 * xi)
+            atoms[1] = (h, _broken(fault, xi))
         return atoms
     return tails
 
 
+def _broken_blocks(fault):
+    """A _pair_atoms_block that breaks the pairs ``_broken_tails`` breaks:
+    on each side, the second atom of the first tail pair, where the first
+    one's point has real part > 0.95."""
+    original = explore._pair_atoms_block
+
+    def block(tags, m, atom_count):
+        sides = original(tags, m, atom_count)
+        for atoms in sides:
+            (h, xi), (_, other) = atoms[:2]
+            hit, broken = xi.re > 0.95, _broken(fault, xi)
+            atoms[1] = (h, ComplexBatch(np.where(hit, broken.re, other.re),
+                                        np.where(hit, broken.im, other.im)))
+        return sides
+    return block
+
+
 @pytest.mark.parametrize("fault", ["gap", "circle"])
 def test_batched_sweep_raises_the_first_pair_error(monkeypatch, fault):
+    # the reference draws through _tail_atoms, the sweep through the block
     monkeypatch.setattr(caratheodory, "_tail_atoms", _broken_tails(fault))
+    monkeypatch.setattr(explore, "_pair_atoms_block", _broken_blocks(fault))
     cell = ("beta", 2, 0.25, 0.5)
     assert reference_sweep_cell(*cell, 5, seed=5).samples == 5
     with pytest.raises(ValueError) as expected:
@@ -228,16 +253,20 @@ def test_batched_sweep_raises_the_first_pair_error(monkeypatch, fault):
     assert str(batched.value) == str(expected.value)
 
 
-NEGATIVE_COUNTS = {
-    "samples": lambda: sweep_cell("alpha", 1, 1.0, 1.0, -1, seed=0),
-    "realizable": lambda: sweep_cell("alpha", 1, 1.0, 1.0, 10, seed=0,
-                                     realizable=-2),
-    "iterations": lambda: hill_climb("alpha", 1, 1.0, 1.0, seed=0,
-                                     iterations=-3),
+NEGATIVE_COUNTS = {  # name: (least allowed value, a call below it)
+    "samples": (0, lambda: sweep_cell("alpha", 1, 1.0, 1.0, -1, seed=0)),
+    "realizable": (0, lambda: sweep_cell("alpha", 1, 1.0, 1.0, 10, seed=0,
+                                         realizable=-2)),
+    "iterations": (0, lambda: hill_climb("alpha", 1, 1.0, 1.0, seed=0,
+                                         iterations=-3)),
+    # refused before any draw, even when the cell would draw nothing
+    "atom count": (1, lambda: sweep_cell("alpha", 1, 1.0, 1.0, 0, seed=0,
+                                         atom_count=0)),
 }
 
 
 @pytest.mark.parametrize("count", sorted(NEGATIVE_COUNTS))
 def test_negative_counts_are_refused(count):
-    with pytest.raises(ValueError, match=f"^{count} must be >= 0"):
-        NEGATIVE_COUNTS[count]()
+    least, call = NEGATIVE_COUNTS[count]
+    with pytest.raises(ValueError, match=f"^{count} must be >= {least}"):
+        call()
