@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import starmap
 
+from . import bounds as bounds_mod
 from .series import (EXACT, FLOAT, ComplexBatch, QComplex, TruncatedSeries,
-                     scalar_types)
+                     _to_ints, scalar_types)
 
 __all__ = [
     "CaratheodoryFunction",
@@ -61,8 +62,7 @@ class CaratheodoryFunction:
 
     def __init__(self, atoms, fold=1, backend=None):
         atoms = tuple((w, z) for (w, z) in atoms)
-        if fold < 1:
-            raise ValueError("fold order must be a positive integer")
+        bounds_mod._check_m(fold)
         if backend is None:
             backend = EXACT if all(
                 isinstance(w, (int, Fraction)) and isinstance(z, QComplex)
@@ -140,11 +140,14 @@ class CaratheodoryFunction:
 def _moment(atoms, k, cplx):
     """2 sum_j w_j zeta_j^k, summed in atom order, in the complex type cplx.
 
-    zeta^k is an iterated product, which keeps sign symmetries bit-exact in
-    floats.  Written with plain operators, so on floats (cplx = complex) it
-    also runs on a batch of atom sets: weight arrays and ComplexBatch
-    points, one entry per set.
+    Exact atoms (cplx = QComplex) go through ``_moment_exact``.  On floats
+    zeta^k is an iterated product, which keeps sign symmetries bit-exact.
+    Written with plain operators, so on floats (cplx = complex) it also runs
+    on a batch of atom sets: weight arrays and ComplexBatch points, one
+    entry per set.
     """
+    if cplx is QComplex:
+        return _moment_exact(atoms, k)
     acc = cplx(0)
     for w, z in atoms:
         zk = cplx(1)
@@ -152,6 +155,28 @@ def _moment(atoms, k, cplx):
             zk = zk * z
         acc = acc + w * zk
     return acc + acc
+
+
+def _moment_exact(atoms, k):
+    """The exact moment on integers: with weights W_j / D and points
+    (X_j + i Y_j) / E, it is 2 sum_j W_j (X_j + i Y_j)^k / (D E^k), one
+    Fraction per part."""
+    if not atoms:
+        return QComplex(0)
+    weights, points = zip(*atoms)
+    last = len(atoms) - 1
+    w, _, w_den = _to_ints(weights, last)
+    x, y, z_den = _to_ints(points, last)
+    re = im = 0
+    for wj, xj, yj in zip(w, x, y or [0] * len(x)):
+        if wj:
+            pr, pi = 1, 0  # (X_j + i Y_j)^k
+            for _ in range(k):
+                pr, pi = pr * xj - pi * yj, pr * yj + pi * xj
+            re += wj * pr
+            im += wj * pi
+    den = w_den * z_den ** k
+    return QComplex(Fraction(2 * re, den), Fraction(2 * im, den))
 
 
 # The float atom checks, written with plain operators so that they run

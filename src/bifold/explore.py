@@ -238,6 +238,8 @@ def hill_climb(kind, m, param, lam, seed, iterations,
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
+    if atom_count < 1:
+        raise ValueError("atom count must be >= 1")
     spec = ClassSpec.from_kind(kind, m, param, lam)
     rng = random.Random(_subseed(seed, "hillclimb", kind, m, param, lam))
     if isinstance(start, CaratheodoryFunction):

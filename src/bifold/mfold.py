@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import bounds as bounds_mod
 from .series import EXACT, TruncatedSeries, geometric_series, scalar_types
 
 __all__ = [
@@ -51,8 +52,7 @@ class MFoldFunction:
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m, coeffs):
-        if m < 1:
-            raise ValueError("fold order m must be a positive integer")
+        bounds_mod._check_m(m)
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "coeffs", tuple(
             c if not isinstance(c, int) else Fraction(c) for c in coeffs))

@@ -15,6 +15,8 @@ Two coefficient backends are supported:
     exact.  Products, reversion and rational powers run on Python ints
     over one common denominator and form one Fraction per coefficient;
     a rational power uses Miller's recurrence, whose weights are integers.
+    A QComplex with an int or Fraction operand works on its two parts
+    instead of on r + 0i, and it compares with a float or complex exactly.
 
 ``float``
     Machine-precision ``complex`` coefficients with numpy-backed
@@ -46,8 +48,11 @@ class QComplex:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction part is kept as it is: Fraction(x) would rebuild it
+        object.__setattr__(self, "re",
+                           re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im",
+                           im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QComplex is immutable")
@@ -68,44 +73,52 @@ class QComplex:
             return QComplex(value)
         return None
 
+    # An int or Fraction operand r acts on the parts directly: r + 0i would
+    # cost four products and two sums where two Fraction operations do.
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QComplex(self.re + o.re, self.im + o.im)
+        if isinstance(other, QComplex):
+            return QComplex(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return QComplex(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QComplex(self.re - o.re, self.im - o.im)
+        if isinstance(other, QComplex):
+            return QComplex(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return QComplex(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QComplex(o.re - self.re, o.im - self.im)
+        if isinstance(other, (int, Fraction)):
+            return QComplex(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QComplex(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
+        if isinstance(other, QComplex):
+            return QComplex(self.re * other.re - self.im * other.im,
+                            self.re * other.im + self.im * other.re)
+        if isinstance(other, (int, Fraction)):
+            return QComplex(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero QComplex")
+            return QComplex(self.re / other, self.im / other)
+        if not isinstance(other, QComplex):
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
+        d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by zero QComplex")
-        return QComplex((self.re * o.re + self.im * o.im) / d,
-                        (self.im * o.re - self.re * o.im) / d)
+        return QComplex((self.re * other.re + self.im * other.im) / d,
+                        (self.im * other.re - self.re * other.im) / d)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -150,17 +163,25 @@ class QComplex:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
+        if isinstance(other, (float, complex)):
+            # exact, as Fraction == float is: no rounding of self
+            other = complex(other)
+            return self.re == other.real and self.im == other.imag
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) == complex(other)
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # complex's own formula on the parts' hashes, so an equal int,
+        # Fraction, float or complex hashes the same
+        from sys import hash_info
+
+        modulus = 1 << hash_info.width
+        h = (hash(self.re) + hash_info.imag * hash(self.im)) % modulus
+        if h >= modulus >> 1:
+            h -= modulus
+        return -2 if h == -1 else h
 
     def __repr__(self):
         if not self.im:
@@ -316,8 +337,10 @@ def _to_ints(coeffs, order):
     imaginary parts over ``den``, the lcm of every part's denominator.
     ``im`` is None when no imaginary part is nonzero.
     """
-    reals = [c.real for c in coeffs[: order + 1]]
-    imags = [c.imag for c in coeffs[: order + 1]]
+    head = coeffs[: order + 1]
+    # a Fraction's .real is +c, a new Fraction: read the parts directly
+    reals = [c.re if isinstance(c, QComplex) else c for c in head]
+    imags = [c.im if isinstance(c, QComplex) else 0 for c in head]
     if not any(imags):
         imags = None
     parts = reals + (imags or [])

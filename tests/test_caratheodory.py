@@ -6,8 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bifold.caratheodory import (CaratheodoryFunction, _negative,
+from bifold.caratheodory import (CaratheodoryFunction, _moment, _negative,
                                  _off_circle, _off_simplex, _pair_atoms,
                                  _pair_atoms_block, check_lemma1,
                                  constrained_pair, sample, sample_exact,
@@ -57,6 +58,14 @@ def test_constant_one_function():
     assert p.eval(0.5 + 0.2j) == 1
     report = check_lemma1(p)
     assert report.ok and report.second_lhs == 0.0
+
+
+@pytest.mark.parametrize("fold", [2.5, 0])
+def test_fold_order_must_be_a_positive_integer(fold):
+    # 2.5 used to build a fold-2 function
+    with pytest.raises(ValueError, match="^fold order m must be a positive "
+                                         f"integer, got {fold!r}$"):
+        CaratheodoryFunction([(1, ONE)], fold=fold)
 
 
 def test_constructor_invariants():
@@ -279,3 +288,65 @@ def test_solve_linear_exact_and_singular():
     assert x == [F(1), F(3)]
     with pytest.raises(ZeroDivisionError):
         solve_linear_exact([[1, 2], [2, 4]], [1, 2])
+
+
+# ----------------------------------------------------------------------
+# exact atom moments on integers
+
+
+def reference_moment(atoms, k):
+    """The iterated-QComplex moment loop that the integer kernel replaced:
+    each weight is coerced to a QComplex, each zeta^k is a product chain."""
+    acc = QComplex(0)
+    for w, z in atoms:
+        zk = QComplex(1)
+        for _ in range(k):
+            zk = zk * z
+        acc = acc + QComplex(w) * zk
+    return acc + acc
+
+
+BASE_POINTS = [z for _, z in zero_moment_base().atoms]
+# small and large pairwise coprime denominators of tangent-half parameters
+DENOMINATORS = [1, 2, 3, 7, 11, 2 ** 31 - 1, 10 ** 9 + 7, 5 ** 13]
+
+points_st = st.one_of(
+    st.sampled_from(BASE_POINTS),  # +-1, +-i and 3/5 +- 4i/5
+    st.builds(lambda a, b: unimodular_exact(F(a, b)),
+              st.integers(-10 ** 6, 10 ** 6), st.sampled_from(DENOMINATORS)))
+# raw integer weights, zeros included; at least one is nonzero
+raw_weights_st = st.lists(st.integers(0, 60) | st.just(0), min_size=1,
+                          max_size=8).filter(any)
+
+
+@given(raw_weights_st, st.data())
+@settings(max_examples=80, deadline=None)
+@example([0, 3, 0, 1, 0, 2, 5], None)  # zero weights on the base points
+def test_exact_moments_match_the_iterated_qcomplex_loop(raw, data):
+    if data is None:
+        points = BASE_POINTS + [-BASE_POINTS[4]]
+    else:
+        points = data.draw(st.lists(points_st, min_size=len(raw),
+                                    max_size=len(raw)))
+    atoms = [(F(r, sum(raw)), z) for r, z in zip(raw, points)]
+    p = CaratheodoryFunction(atoms, fold=2)
+    for k in range(1, 5):
+        value = p.coefficient(k)
+        assert value == reference_moment(p.atoms, k)
+        assert type(value) is QComplex
+        assert type(value.re) is F and type(value.im) is F
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_exact_moments_of_special_atom_sets(k):
+    empty = _moment((), k, QComplex)
+    assert empty == QComplex(0) and type(empty) is QComplex
+    base = zero_moment_base()
+    assert base.coefficient(k) == reference_moment(base.atoms, k)
+    # integer points only, so no imaginary numerators at all
+    real = [(F(1, 3), ONE), (F(2, 3), -ONE)]
+    assert _moment(real, k, QComplex) == reference_moment(real, k)
+    # the kernel needs neither unimodular points nor a unit weight sum
+    loose = [(F(2, 7), QComplex(F(1, 3), F(-5, 11))),
+             (F(0), QComplex(F(9, 2))), (F(-4, 13), QComplex(0, F(1, 17)))]
+    assert _moment(loose, k, QComplex) == reference_moment(loose, k)

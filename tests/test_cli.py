@@ -283,6 +283,16 @@ def test_search_refuses_zero_atoms_before_drawing():
     assert proc.stdout == ""
 
 
+def test_search_climb_refuses_negative_atoms():
+    # used to climb over two atoms and print a row with exit 0
+    proc = run_cli("search", "--mode", "climb", "--kind", "alpha", "--m", "1",
+                   "--alpha", "1", "--lambda", "1", "--atoms", "-5",
+                   "--iterations", "3", "--no-timestamp", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: atom count must be >= 1\n"
+    assert proc.stdout == ""
+
+
 def test_selftest_times_each_suite_on_stderr():
     proc = run_cli("selftest", "--quick")
     suites = [line.split(":")[0] for line in proc.stdout.splitlines()[:-1]]

@@ -262,11 +262,16 @@ NEGATIVE_COUNTS = {  # name: (least allowed value, a call below it)
     # refused before any draw, even when the cell would draw nothing
     "atom count": (1, lambda: sweep_cell("alpha", 1, 1.0, 1.0, 0, seed=0,
                                          atom_count=0)),
+    # the spread start used to take max(2, atom_count) atoms instead
+    "atom count (climb)": (1, lambda: hill_climb("alpha", 1, 1.0, 1.0, seed=0,
+                                                 iterations=3,
+                                                 atom_count=-5)),
 }
 
 
 @pytest.mark.parametrize("count", sorted(NEGATIVE_COUNTS))
 def test_negative_counts_are_refused(count):
     least, call = NEGATIVE_COUNTS[count]
-    with pytest.raises(ValueError, match=f"^{count} must be >= {least}"):
+    name = count.split(" (")[0]  # a parenthesized suffix names the caller
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}"):
         call()

@@ -95,6 +95,14 @@ def test_reverted_series_keeps_symmetry():
             assert g.coeff(n) == 0
 
 
+@pytest.mark.parametrize("m", [2.5, 0])
+def test_fold_order_must_be_a_positive_integer(m):
+    # 2.5 used to build a fold-2 function
+    with pytest.raises(ValueError, match="^fold order m must be a positive "
+                                         f"integer, got {m!r}$"):
+        MFoldFunction(m, [1, 0, 0])
+
+
 def test_depth_requirement():
     with pytest.raises(ValueError):
         MFoldFunction(2, [1, 2]).inverse_closed_form()

@@ -1,5 +1,6 @@
 """Truncated-series arithmetic against independent oracles."""
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bifold.series import (ComplexBatch, QComplex, TruncatedSeries,
-                           geometric_series)
+                           _to_ints, geometric_series)
 
 S = TruncatedSeries.exact
 
@@ -304,6 +305,79 @@ def test_qcomplex_mixes_with_fractions():
     assert Fraction(1, 2) * a == QComplex(Fraction(1, 2), 1)
     assert 1 + a == QComplex(2, 2)
     assert (Fraction(1) / QComplex(0, 1)) == QComplex(0, -1)
+
+
+QCOMPLEX_OPERANDS = [QComplex(0), QComplex(2), QComplex(0, Fraction(-1, 7)),
+                     QComplex(Fraction(3, 5), Fraction(-4, 5)),
+                     QComplex(Fraction(-10 ** 12, 2 ** 31 - 1),
+                              Fraction(5 ** 13, 3))]
+REAL_OPERANDS = [0, 3, -2, True, Fraction(0), Fraction(1, 3),
+                 Fraction(-7, 10 ** 9 + 7)]
+REAL_OPERATIONS = {
+    "z + r": operator.add, "r + z": lambda z, r: r + z,
+    "z - r": operator.sub, "r - z": lambda z, r: r - z,
+    "z * r": operator.mul, "r * z": lambda z, r: r * z,
+    "z / r": operator.truediv,
+}
+
+
+@pytest.mark.parametrize("op", sorted(REAL_OPERATIONS))
+def test_qcomplex_real_operand_paths_match_the_coerced_operand(op):
+    fn = REAL_OPERATIONS[op]
+    for z in QCOMPLEX_OPERANDS:
+        for r in REAL_OPERANDS:
+            if op == "z / r" and not r:
+                continue
+            value = fn(z, r)
+            assert value == fn(z, QComplex(r))
+            assert type(value) is QComplex
+            assert type(value.re) is Fraction and type(value.im) is Fraction
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), False, QComplex(0)])
+def test_qcomplex_division_by_a_zero_real(zero):
+    with pytest.raises(ZeroDivisionError, match="^division by zero QComplex$"):
+        QComplex(1, 2) / zero
+
+
+def test_qcomplex_keeps_fraction_parts_and_makes_int_parts_fractions():
+    third = Fraction(1, 3)
+    z = QComplex(third, 2)
+    assert z.re is third
+    assert type(z.im) is Fraction and z.im == 2
+
+
+def test_qcomplex_compares_with_floats_exactly():
+    third = QComplex(Fraction(1, 3))
+    assert third != 1 / 3 and not third == 1 / 3  # Fraction(1, 3) != 1/3
+    assert len({third, 1 / 3}) == 2
+    assert QComplex(Fraction(1, 2)) != 0.5 + 0.25j
+    assert QComplex(1) != float("nan")
+    for value, other in [
+            (QComplex(Fraction(1, 2)), 0.5),
+            (QComplex(Fraction(1, 2), Fraction(1, 4)), 0.5 + 0.25j),
+            (QComplex(Fraction(-3, 8), -5), complex(-0.375, -5.0)),
+            (QComplex(0, -1), -1j),  # -1j has a -0.0 real part
+            (QComplex(3), 3), (QComplex(-1), -1),
+            (QComplex(Fraction(-1, 3)), Fraction(-1, 3)),
+            (QComplex(Fraction(2, 7), Fraction(-9, 11)),
+             QComplex(Fraction(4, 14), Fraction(-18, 22)))]:
+        assert value == other and other == value
+        assert hash(value) == hash(other)
+        assert len({value, other}) == 1
+
+
+def old_to_ints(coeffs, order):
+    """``_to_ints`` as it read the parts before: through .real and .imag."""
+    reals = [c.real for c in coeffs[: order + 1]]
+    imags = [c.imag for c in coeffs[: order + 1]]
+    if not any(imags):
+        imags = None
+    parts = reals + (imags or [])
+    den = math.lcm(*(x.denominator for x in parts))
+    re = [x.numerator * (den // x.denominator) for x in reals]
+    im = imags and [x.numerator * (den // x.denominator) for x in imags]
+    return re, im, den
 
 
 def test_qcomplex_in_series():
@@ -605,3 +679,13 @@ def test_float_revert_and_pow_keep_every_bit(seed):
     for exponent in (0.5, -1 / 3, -2.0, 0.0, 1.5 - 0.25j):
         assert [bits(z) for z in series.pow(exponent)] == \
             [bits(z) for z in reference_pow(series, exponent)]
+
+
+@given(st.lists(exact_values_st | st.just(Fraction(0)), min_size=1,
+                max_size=12), st.integers(0, 14))
+@settings(max_examples=80, deadline=None)
+@example([Fraction(1), Fraction(0), Fraction(-2, 3)], 1)  # no imaginary part
+def test_to_ints_reads_the_parts_as_before(coeffs, order):
+    re, im, den = _to_ints(coeffs, order)
+    assert (re, im, den) == old_to_ints(coeffs, order)
+    assert all(type(x) is int for x in re + (im or []))
