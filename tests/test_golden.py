@@ -13,6 +13,7 @@ the test.  JSON prints floats at full repr, so equal bytes mean equal bits.
 
 import contextlib
 import io
+import warnings
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,10 @@ CASES = {
     "membership-coeffs": ["membership", "--coeffs", "1/5,1/10", "--m", "2",
                           "--kind", "re", "--beta", "1/4", "--lambda", "1/3",
                           "--order", "12", "--angles", "60"],
+    # f overflows to inf at this order: worst margin inf, tail 0
+    "membership-overflow": ["membership", "--coeffs", "60", "--m", "1",
+                            "--kind", "re", "--beta", "1/4", "--lambda",
+                            "1/3", "--order", "240"],
     "solve-coeffs": ["solve-coeffs", "--kind", "alpha", "--m", "2",
                      "--alpha", "1/2", "--lambda", "1/3", "--seed", "11"],
     "solve-coeffs-realizable-alpha": [
@@ -70,3 +75,15 @@ def test_output_matches_golden(filename):
     assert code == 0
     expected = (GOLDEN / filename).read_bytes()
     assert stream.getvalue().encode() == expected
+
+
+def test_overflowing_membership_writes_nothing_to_stderr():
+    # the float kernels meet inf and nan here; numpy must not warn about it
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(RUNS["membership-overflow.csv"])
+    assert code == 0
+    assert err.getvalue() == ""
+    assert [str(w.message) for w in caught] == []
