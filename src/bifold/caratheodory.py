@@ -68,7 +68,9 @@ class CaratheodoryFunction:
                 isinstance(w, (int, Fraction)) and isinstance(z, QComplex)
                 for (w, z) in atoms) else FLOAT
         if backend == EXACT:
-            atoms = tuple((Fraction(w), z) for (w, z) in atoms)
+            # a Fraction weight is kept as it is: Fraction(w) would rebuild it
+            atoms = tuple((w if type(w) is Fraction else Fraction(w), z)
+                          for (w, z) in atoms)
             for w, z in atoms:
                 if not isinstance(z, QComplex) or z.abs2() != 1:
                     raise ValueError("exact atoms need exact unimodular points")

@@ -151,9 +151,8 @@ def tail_estimate(series: TruncatedSeries, radius: float, window=6) -> float:
     |c_N| r^N * q/(1-q) with q = rho*r.  Infinite when the extrapolated
     terms do not decay.  Identically zero series tails are zero.
     """
-    coeffs = [abs(complex(c)) for c in series.coeffs]
     start = max(1, series.order + 1 - window)
-    last = coeffs[start:]
+    last = [abs(complex(c)) for c in series.coeffs[start:]]
     if max(last, default=0.0) == 0.0:
         return 0.0
     ratios = [b / a for a, b in zip(last, last[1:]) if a > 0 and b > 0]
@@ -211,7 +210,10 @@ def _scan_side(side, phi_series, ratio_series, spec, radii, angles):
     points = np.array(radii, dtype=float)[:, None] * np.exp(1j * theta)
     values = phi_series.eval_many(points)
     margins = _margins(values, spec)
-    flagged = int(np.count_nonzero(ratio_series.eval_many(points).real <= 0))
+    # at lambda = 1, Phi is the ratio itself (_phi_of_ratio returns it)
+    ratio_values = (values if ratio_series is phi_series
+                    else ratio_series.eval_many(points))
+    flagged = int(np.count_nonzero(ratio_values.real <= 0))
     worst = math.inf
     worst_point = 0j
     worst_value = 0j

@@ -20,8 +20,10 @@ Two coefficient backends are supported:
 
 ``float``
     Machine-precision ``complex`` coefficients with numpy-backed
-    convolution; ``pow(a, r) = exp0(r * log1(a))``.  Comparisons need
-    explicit tolerances.
+    convolution; ``pow(a, r) = exp0(r * log1(a))``.  Division and exp0 run
+    as numpy column updates that form each term by CPython's complex
+    formulas in the scalar loops' order, so they keep those loops' bits.
+    Comparisons need explicit tolerances.
 
 Series are immutable after construction and safe to share across threads.
 """
@@ -302,10 +304,11 @@ def _is_zero(value) -> bool:
     return not value
 
 
-def _has_negative_zero(value) -> bool:
-    """True when a part of value is -0.0; exact scalars have no signed zero."""
-    return any(not part and copysign(1.0, part) < 0
-               for part in (value.real, value.imag))
+def _has_negative_zero(value: complex) -> bool:
+    """True when a part of value is -0.0."""
+    re, im = value.real, value.imag
+    return (not re and copysign(1.0, re) < 0) or \
+        (not im and copysign(1.0, im) < 0)
 
 
 # Zero skipping.  The exact kernels below, the division and exp0 form no
@@ -322,6 +325,10 @@ def _has_negative_zero(value) -> bool:
 #   that starts on a -0.0 part skips no term.  The reference-loop tests in
 #   tests/test_series.py pin this case: sparse series with -0.0 and
 #   complex(0.0, -0.0) coefficients, and one such slot spelled out.
+# A skipped term is not formed at all: with an inf or nan factor, the zero
+# term would be nan.  So the float kernels below let a skipped term enter a
+# vector sum only as +0.0, which x + (+0.0) and x - (+0.0) leave alone for
+# every accumulator that does not hold -0.0.
 
 
 # Exact kernels on integers.  A Fraction operation pays a gcd on every term;
@@ -525,13 +532,136 @@ def _mul_coeffs_float(a, b, order):
     return list(conv)
 
 
+# Float division and exp0 as numpy column updates, bit for bit as the scalar
+# loops.  A term is a product by CPython's own formula, (ar*br - ai*bi,
+# ar*bi + ai*br), on float64 parts: numpy's complex128 multiply may fuse it
+# into FMA instructions and round differently.  The terms of one coefficient
+# are added in the loop's order, one rounding after another; np.sum would
+# add them pairwise.  Quotients stay Python complex divisions.  A numpy call
+# costs as much as a few scalar terms, so each kernel forms the terms that
+# involve the last _BLOCK new coefficients in Python and the older ones a
+# block at a time in numpy.
+
+_BLOCK = 16
+
+
+def _parts(values):
+    """float64 array [real parts; imaginary parts] of complex values."""
+    a = np.array(values, dtype=complex)
+    return np.stack((a.real, a.imag))
+
+
+def _truediv_float(num, den):
+    """num / den for den[0] != 0, both of one length, right-looking.
+
+    out[k] = (num[k] - sum_i out[i] den[k-i]) / den[0] with the terms in
+    ascending i.  A slot's terms from the current block of nonzero
+    quotients are subtracted in Python; when the block holds _BLOCK
+    quotients, their terms are subtracted from every later slot, row after
+    row by np.subtract.reduce (subtraction has no pairwise form), and the
+    block starts anew.  A slot that starts on a -0.0 part forms every term
+    in Python, as the note on zero skipping requires.
+    """
+    n = len(num) - 1
+    b0 = den[0]
+    acc = None  # [re; im] of num less the flushed terms, from the first flush
+    out = []
+    rows = []  # ascending indices of the block's nonzero quotients
+    with np.errstate(all="ignore"):
+        for k in range(n + 1):
+            if _has_negative_zero(num[k]):
+                a = num[k]
+                for i in range(k):
+                    a = a - out[i] * den[k - i]
+            else:
+                a = num[k] if acc is None else complex(acc[0, k], acc[1, k])
+                for i in rows:
+                    d = den[k - i]
+                    if d:
+                        a = a - out[i] * d
+            q = a / b0
+            out.append(q)
+            if q:
+                rows.append(k)
+            if len(rows) == _BLOCK and k < n:
+                if acc is None:
+                    acc, d_parts = _parts(num), _parts(den)
+                    d_zero = (d_parts[0] == 0) & (d_parts[1] == 0)
+                lag = np.arange(k + 1, n + 1) - np.array(rows)[:, None]
+                dr, di = d_parts[:, lag]
+                qs = np.array([out[i] for i in rows])
+                qr, qi = qs.real[:, None], qs.imag[:, None]
+                terms = np.empty((len(rows) + 1, 2, n - k))
+                terms[0] = acc[:, k + 1:]
+                np.subtract(qr * dr, qi * di, out=terms[1:, 0])
+                np.add(qr * di, qi * dr, out=terms[1:, 1])
+                skip = d_zero[lag]
+                if skip.any():
+                    np.copyto(terms[1:], 0.0, where=skip[:, None])
+                acc[:, k + 1:] = np.subtract.reduce(terms, axis=0)
+                rows = []
+    return out
+
+
+def _exp0_float(coeffs):
+    """exp of a float series with constant term 0, left-looking.
+
+    E_j = (1/j) sum_k k a_k E_{j-k} over the nonzero a_k in ascending k,
+    skipping a zero E_{j-k}.  With g the gcd of the k, E_j = 0 unless g
+    divides j, so only those j are summed.  Of a row's terms, those with
+    E_{j-k} from the row's own block are added in Python from +0j; the rest
+    were formed for the whole block in numpy, and np.add.accumulate adds
+    them to that partial sum one after another.
+    """
+    n = len(coeffs) - 1
+    support = [k for k in range(1, n + 1) if coeffs[k]]
+    g = gcd(*support) or n + 1
+    top = n // g
+    kak = [0j] * (top + 1)  # kak[c] = k a_k at k = c g
+    for k in support:
+        kak[k // g] = k * coeffs[k]
+    if top >= _BLOCK:
+        a = _parts(kak)
+        a_zero = (a[0] == 0) & (a[1] == 0)
+    out = [1 + 0j]  # out[c] = E_{c g}
+    with np.errstate(all="ignore"):
+        for j0 in range(0, top + 1, _BLOCK):
+            rows = range(max(j0, 1), min(j0 + _BLOCK, top + 1))
+            if j0:
+                # terms[r, :, c] for row j0 + r: k = r + c, E index j0 - c
+                ks = np.arange(len(rows))[:, None] + np.arange(1, j0 + 1)
+                ar, ai = a[:, ks]
+                er, ei = _parts(out[j0 - 1::-1])
+                terms = np.empty((len(rows), 2, j0 + 1))
+                np.subtract(ar * er, ai * ei, out=terms[:, 0, 1:])
+                np.add(ar * ei, ai * er, out=terms[:, 1, 1:])
+                skip = a_zero[ks] | ((er == 0) & (ei == 0))
+                if skip.any():
+                    np.copyto(terms[:, :, 1:], 0.0, where=skip[:, None])
+            for j in rows:
+                acc = 0j
+                for k in range(1, j - j0 + 1):
+                    e = out[j - k]
+                    if e and kak[k]:
+                        acc = acc + kak[k] * e
+                if j0:
+                    row = terms[j - j0]
+                    row[:, 0] = acc.real, acc.imag
+                    acc = complex(*np.add.accumulate(row, axis=1)[:, -1])
+                out.append(acc / (j * g))
+    return [out[j // g] if j % g == 0 else 0j / j for j in range(n + 1)]
+
+
 class TruncatedSeries:
     """Power series coefficients ``c[0..order]``, exact up to ``order``."""
 
     __slots__ = ("coeffs", "backend")
 
     def __init__(self, coeffs, backend=EXACT):
-        coeffs = tuple(_coerce_scalar(c, backend) for c in coeffs)
+        if backend == EXACT:
+            coeffs = tuple(_coerce_scalar(c, backend) for c in coeffs)
+        else:
+            coeffs = tuple(map(complex, coeffs))
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -686,17 +816,17 @@ class TruncatedSeries:
                     "numerator truncates before the shared z factor ends")
             return num / other.shift_down(v)
         n = min(self.order, other.order)
+        if self.backend == FLOAT:
+            out = _truediv_float(self.coeffs[: n + 1], other.coeffs[: n + 1])
+            return TruncatedSeries(out, backend=FLOAT)
         b0 = other.coeffs[0]
         out = []
         nonzero = []  # ascending indices i of the nonzero out[i]
         for k in range(n + 1):
             acc = self.coeffs[k]
-            # skip zero terms, unless acc starts on a -0.0 part (see the
-            # note on zero skipping above)
-            every = _has_negative_zero(acc)
-            for i in range(k) if every else nonzero:
+            for i in nonzero:
                 d = other.coeffs[k - i]
-                if every or not _is_zero(d):
+                if not _is_zero(d):
                     acc = acc - out[i] * d
             out.append(acc / b0)
             if not _is_zero(out[k]):
@@ -828,6 +958,8 @@ class TruncatedSeries:
         """
         if not _is_zero(self.coeffs[0]):
             raise ValueError("exp0 needs constant term exactly 0")
+        if self.backend == FLOAT:
+            return TruncatedSeries(_exp0_float(self.coeffs), backend=FLOAT)
         zero = _coerce_scalar(0, self.backend)
         out = [_coerce_scalar(1, self.backend)]
         # the nonzero k*a_k in ascending k; terms with a zero out[j-k] are
@@ -891,9 +1023,16 @@ class TruncatedSeries:
         return self.eval(z)
 
     def eval_many(self, points):
-        """Vectorized Horner evaluation at an array of complex points."""
-        coeffs = np.asarray([complex(c) for c in reversed(self.coeffs)])
-        return np.polyval(coeffs, np.asarray(points, dtype=complex))
+        """Vectorized Horner evaluation at an array of complex points.
+
+        np.polyval's own recurrence y = y * x + c, run in place.
+        """
+        x = np.asarray(points, dtype=complex)
+        y = np.zeros_like(x)
+        for c in np.array(list(map(complex, reversed(self.coeffs)))):
+            np.multiply(y, x, out=y)
+            np.add(y, c, out=y)
+        return y
 
     # ------------------------------------------------------------------
 

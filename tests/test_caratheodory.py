@@ -27,6 +27,16 @@ def test_single_kernel_expansion():
                         QComplex(2))
 
 
+def test_exact_weights_become_fractions_and_fractions_stay_as_given():
+    half = F(1, 2)
+    p = CaratheodoryFunction([(half, ONE), (half, -ONE)])
+    assert all(w is half for w, _ in p.atoms)
+    (w, _), = CaratheodoryFunction([(1, ONE)]).atoms
+    assert type(w) is Fraction and w == 1
+    with pytest.raises(ValueError):
+        CaratheodoryFunction([(F(3, 4), ONE), (F(1, 2), -ONE)])
+
+
 def test_opposite_atoms_cancel_odd_coefficients():
     p = CaratheodoryFunction([(F(1, 2), ONE), (F(1, 2), -ONE)])
     s = p.expand(4)

@@ -689,3 +689,121 @@ def test_to_ints_reads_the_parts_as_before(coeffs, order):
     re, im, den = _to_ints(coeffs, order)
     assert (re, im, den) == old_to_ints(coeffs, order)
     assert all(type(x) is int for x in re + (im or []))
+
+
+# ----------------------------------------------------------------------
+# float division and exp0 as numpy column updates against the scalar loops
+
+
+def _has_negative_zero(value):
+    return any(not part and math.copysign(1.0, part) < 0
+               for part in (value.real, value.imag))
+
+
+def skipping_truediv(num, den):
+    """The zero-skipping scalar division loop the numpy kernel replaced."""
+    b0 = den[0]
+    out = []
+    nonzero = []
+    for k in range(min(len(num), len(den))):
+        acc = num[k]
+        every = _has_negative_zero(acc)
+        for i in range(k) if every else nonzero:
+            d = den[k - i]
+            if every or d:
+                acc = acc - out[i] * d
+        out.append(acc / b0)
+        if out[k]:
+            nonzero.append(k)
+    return out
+
+
+def skipping_exp0(coeffs):
+    """The zero-skipping scalar exp0 loop the numpy kernel replaced."""
+    out = [1 + 0j]
+    terms = [(k, k * ak) for k, ak in enumerate(coeffs) if k and ak]
+    for j in range(1, len(coeffs)):
+        acc = 0j
+        for k, kak in terms:
+            if k > j:
+                break
+            if out[j - k]:
+                acc = acc + kak * out[j - k]
+        out.append(acc / j)
+    return out
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+def kernel_inputs(rng, n, m, special):
+    """m-fold sparse float coefficients with signed zeros of every kind;
+    "overflow" scales them so that the kernels run into inf, "nan" plants
+    inf and nan parts."""
+    def part():
+        if special == "nan" and rng.random() < 0.05:
+            return rng.choice([INF, -INF, NAN])
+        return rng.choice([0.0, -0.0, 1.0, rng.uniform(-2, 2),
+                           rng.uniform(-2, 2), rng.uniform(-2, 2)])
+
+    def value():
+        return complex(part(), rng.choice([0.0, -0.0, 0.0, part()]))
+
+    coeffs = sparse_coefficients(rng, n + 1, m, value, FLOAT_ZEROS)
+    if special == "overflow":
+        coeffs = [c * 1e200 if k % m == 0 else c
+                  for k, c in enumerate(coeffs)]
+    return coeffs
+
+
+B0S = {"one": 1 + 0j, "negative": complex(-1.75, 0.0),
+       "negative-signed": complex(-0.625, -0.0), "complex": 0.5 - 1.25j}
+
+
+@pytest.mark.parametrize("special", ["finite", "overflow", "nan"])
+@pytest.mark.parametrize("b0", sorted(B0S))
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_float_division_and_exp0_keep_the_scalar_loops_bits(m, b0, special):
+    rng = random.Random(f"float-kernels/{m}/{b0}/{special}")
+    for n in (0, 1, 15, 16, 17, 40, rng.randint(41, 239), 240):
+        num = kernel_inputs(rng, n, m, special)
+        den = kernel_inputs(rng, n, m, special)
+        den[0] = B0S[b0]
+        quotient = TruncatedSeries.floating(num) / \
+            TruncatedSeries.floating(den)
+        assert [bits(z) for z in quotient] == \
+            [bits(z) for z in skipping_truediv(num, den)]
+        num[0] = rng.choice(FLOAT_ZEROS)
+        assert [bits(z) for z in TruncatedSeries.floating(num).exp0()] == \
+            [bits(z) for z in skipping_exp0(num)]
+
+
+def test_float_division_with_negative_zero_starts_keeps_the_loops_bits():
+    # slots past the first numpy block that start on -0.0 parts, among
+    # quotients that overflow: every term is formed there, inf times zero
+    # included
+    rng = random.Random("negative-zero-starts")
+    num = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) * 1e300
+           for _ in range(121)]
+    for k in (0, 17, 40, 41, 100, 120):
+        num[k] = rng.choice(FLOAT_ZEROS[1:])
+    den = [1 + 0j] + [complex(rng.uniform(-8, 8), 0.0) if k % 3 else 0j
+                      for k in range(1, 121)]
+    quotient = TruncatedSeries.floating(num) / TruncatedSeries.floating(den)
+    expected = skipping_truediv(num, den)
+    assert any(math.isnan(z.real) for z in expected)
+    assert [bits(z) for z in quotient] == [bits(z) for z in expected]
+
+
+@pytest.mark.parametrize("order", [0, 1, 40, 240])
+def test_eval_many_keeps_the_bits_of_polyval(order):
+    rng = random.Random(f"eval-many/{order}")
+    coeffs = [complex(rng.uniform(-3, 3), rng.choice([0.0, rng.uniform(-1, 1)]))
+              for _ in range(order + 1)]
+    points = np.array([0.1, 0.5, 0.95])[:, None] * \
+        np.exp(2j * np.pi * np.arange(720) / 720)
+    got = TruncatedSeries.floating(coeffs).eval_many(points)
+    expected = np.polyval(np.array(coeffs[::-1]), points)
+    assert got.shape == expected.shape
+    assert [bits(z) for z in got.ravel()] == \
+        [bits(z) for z in expected.ravel()]
