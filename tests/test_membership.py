@@ -308,42 +308,6 @@ def test_one_pass_scan_matches_the_per_radius_loop(source, kind):
                 assert report_bits(got) == report_bits(expected)
 
 
-def double_evaluating_scan_side(side, phi_series, ratio_series, spec, radii,
-                                angles):
-    """The grid scan before it reused Phi's values at lambda = 1: the ratio
-    series is evaluated on its own even when it is Phi."""
-    theta = 2.0 * np.pi * np.arange(angles) / angles
-    points = np.array(radii, dtype=float)[:, None] * np.exp(1j * theta)
-    values = phi_series.eval_many(points)
-    margins = membership._margins(values, spec)
-    flagged = int(np.count_nonzero(ratio_series.eval_many(points).real <= 0))
-    worst = math.inf
-    worst_point = 0j
-    worst_value = 0j
-    worst_tail = 0.0
-    all_clear = True
-    for row, r in enumerate(radii):
-        tail = tail_estimate(phi_series, r)
-        idx = int(np.argmin(margins[row]))
-        local = float(margins[row, idx])
-        if local < worst:
-            worst = local
-            worst_point = complex(points[row, idx])
-            worst_value = complex(values[row, idx])
-            worst_tail = tail
-        if not np.all(margins[row] > tail):
-            all_clear = False
-    if worst < -worst_tail:
-        verdict = "fail"
-    elif all_clear:
-        verdict = "pass"
-    else:
-        verdict = "inconclusive"
-    return membership.SideReport(
-        side=side, verdict=verdict, worst_margin=worst, witness=worst_point,
-        witness_value=worst_value, radii=tuple(radii), tail=worst_tail,
-        nonpositive_ratio_points=flagged)
-
 
 LAMBDA_ONE_CASES = [("geometric", 1), ("log", 1), ("mfold-log", 2),
                     ("mfold-atanh", 3), ("overflow", 1)]
@@ -351,7 +315,8 @@ LAMBDA_ONE_CASES = [("geometric", 1), ("log", 1), ("mfold-log", 2),
 
 @pytest.mark.parametrize("kind", ["arg", "re"])
 @pytest.mark.parametrize("source,m", LAMBDA_ONE_CASES)
-def test_lambda_one_scan_reuses_phi_bit_for_bit(source, m, kind, monkeypatch):
+def test_lambda_one_scan_evaluates_each_side_once(source, m, kind,
+                                                  monkeypatch):
     if source == "overflow":  # coefficients 60^k: f's ratio overflows
         f = MFoldFunction(1, [F(60)]).to_series(240)
     else:
@@ -360,26 +325,23 @@ def test_lambda_one_scan_reuses_phi_bit_for_bit(source, m, kind, monkeypatch):
         spec = ClassSpec("arg", m=m, lam=F(1), alpha=F(1, 2))
     else:
         spec = ClassSpec("re", m=m, lam=F(1), beta=F(1, 4))
-    g = f.truncate(32).revert().to_float()
-    g_radii = tuple(sorted({min(r, membership.G_SIDE_RADIUS_CAP)
-                            for r in membership.DEFAULT_RADII}))
-    expected = []
-    for side, series, radii in (("f", f.to_float(), membership.DEFAULT_RADII),
-                                ("g", g, g_radii)):
-        ratio = membership._log_derivative(series)
-        assert membership._phi_of_ratio(ratio, spec.lam) is ratio
-        expected.append(report_bits(double_evaluating_scan_side(
-            side, ratio, ratio, spec, radii, 90)))
-        assert report_bits(membership._scan_side(
-            side, ratio, ratio, spec, radii, 90)) == expected[-1]
-
     calls = []
     eval_many = TruncatedSeries.eval_many
     monkeypatch.setattr(TruncatedSeries, "eval_many",
                         lambda self, points: calls.append(1) or
                         eval_many(self, points))
-    report = check_membership(f, spec, radii=membership.DEFAULT_RADII,
-                              angles=90)
-    assert len(calls) == 2  # one grid evaluation per side
-    assert [report_bits(report.f_report), report_bits(report.g_report)] == \
-        expected
+    report = check_membership(f, spec, angles=90)
+    assert len(calls) == 2  # Phi is the ratio: one grid evaluation a side
+    monkeypatch.undo()
+
+    g_radii = sorted({min(r, membership.G_SIDE_RADIUS_CAP)
+                      for r in membership.DEFAULT_RADII})
+    g = f.truncate(32).revert().to_float()
+    for got, series, radii in ((report.f_report, f.to_float(),
+                                membership.DEFAULT_RADII),
+                               (report.g_report, g, g_radii)):
+        ratio = membership._log_derivative(series)
+        # the reference evaluates the ratio again for the flagged count
+        expected = reference_scan_side(got.side, ratio, ratio, spec,
+                                       tuple(radii), 90)
+        assert report_bits(got) == report_bits(expected)
