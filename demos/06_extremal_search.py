@@ -5,12 +5,22 @@ Seeded sweeps solve the coefficient system for thousands of constrained
 pairs per parameter cell.  Samples that satisfy the full (overdetermined)
 system -- the realizability filter -- must respect the class bounds; for
 everything else only the coarser linear ceiling 4*lambda*t/(m(1+lambda))
-applies.  The achieved/bound ratios quantify how much slack the bounds
-leave; no attainability is claimed.  A hill climber then pushes |a_{m+1}|
-toward the ceiling by moving atoms around.
+applies.  The achieved/bound ratios quantify how much slack the sampled
+data leaves.  Two exact constructions then reach the two caps: the
+single-atom pair p = delta(1), q = delta(-1) attains the linear ceiling,
+and at alpha = 1, lambda = 1/2 a two-atom pair attains the arg-type bound
+B1 with every equation of the coefficient system holding exactly.  Both
+are attained within the paper's coefficient system, which is a necessary
+condition on class members, so neither shows the bound sharp for the class.
 """
 
-from bifold import hill_climb, sweep_cell
+from fractions import Fraction as F
+
+from bifold import (CaratheodoryFunction, QComplex, forward_verify,
+                    solve_alpha, structural_ceiling, sweep_cell)
+from bifold.bounds import bound_alpha_exact
+
+ONE = QComplex(1)
 
 print("sweep (2000 samples + 25 constructed realizable pairs per cell):")
 print(f"{'kind':>5} {'m':>2} {'lam':>5}  {'filtered max/B1':>15} "
@@ -27,10 +37,30 @@ for kind, param in (("alpha", 1.0), ("beta", 0.0)):
                   f"{'yes' if rec.ceiling_ok else 'NO':>3}")
 
 print()
-print("hill climb of |a_(m+1)| from a scattered start (alpha=1, lambda=1):")
-for iterations in (0, 50, 200, 500):
-    rec = hill_climb("alpha", 1, 1.0, 1.0, seed="demo/climb",
-                     iterations=iterations)
-    print(f"  {iterations:>4} iterations: best {rec.best_value:.6f} "
-          f"of ceiling {rec.ceiling} "
-          f"(ratio {rec.ceiling_ratio:.4f}, accepted {rec.accepted})")
+print("single atom p = delta(1), q = delta(-1) (alpha=1):")
+for m in (1, 2):
+    for lam in (F(1, 2), F(1)):
+        p = CaratheodoryFunction([(1, ONE)], fold=m)
+        q = CaratheodoryFunction([(1, -ONE)], fold=m)
+        a_m1 = solve_alpha(p, q, m, F(1), lam).a_m1
+        ceiling = structural_ceiling(m, 1, lam)
+        print(f"  m={m} lam={str(lam):>3}: a_(m+1) = {a_m1.real}, "
+              f"ceiling {ceiling:.4f}, "
+              f"{'attained' if float(a_m1.real) == ceiling else 'MISSED'}")
+
+print()
+print("two atoms (7/8, 1/8) at (1, -1), q swapped (alpha=1, lambda=1/2):")
+s = F(3, 4)  # (1 + lambda)/sqrt(radicand of B1), the radicand being 4
+for m in (1, 2, 3):
+    p = CaratheodoryFunction([((1 + s) / 2, ONE), ((1 - s) / 2, -ONE)],
+                             fold=m)
+    q = CaratheodoryFunction([((1 - s) / 2, ONE), ((1 + s) / 2, -ONE)],
+                             fold=m)
+    sol = solve_alpha(p, q, m, F(1), F(1, 2))
+    b1_sq = bound_alpha_exact(m, 1, F(1, 2))[0]
+    exact = (all(v == 0 for v in sol.residuals.values())
+             and forward_verify(sol, p, q).max_abs == 0)
+    a_sq = sol.a_m1 * sol.a_m1
+    print(f"  m={m}: a_(m+1)^2 = {a_sq.real}, B1^2 = {b1_sq}, "
+          f"{'attained' if a_sq == b1_sq else 'MISSED'}, "
+          f"system residuals {'all exactly 0' if exact else 'NONZERO'}")

@@ -4,9 +4,8 @@ Truncated power-series algebra over exact rationals and complex floats,
 inverse-series closed forms with an independent reversion route, finite
 Herglotz sampling of the positive-real-part class, disk-sampled membership
 functionals, the closed-form coefficient bounds with their special-case
-reductions, a replay of the coefficient derivations, and an ensemble /
-hill-climb harness that measures how close sampled data comes to the
-bounds.
+reductions, a replay of the coefficient derivations, and an ensemble
+sweep that measures how close sampled data comes to the bounds.
 """
 
 from .bounds import (bound_alpha, bound_beta, corollary_bounds,
@@ -17,7 +16,7 @@ from .caratheodory import (CaratheodoryFunction, Lemma1Report, check_lemma1,
 from .derivation import (CoefficientSolution, bound_consistency,
                          forward_verify, realizable_pair, solve_alpha,
                          solve_beta)
-from .explore import ClimbRecord, SearchRecord, hill_climb, sweep, sweep_cell
+from .explore import SearchRecord, sweep, sweep_cell
 from .membership import (ClassSpec, MembershipReport, arg_margin,
                          check_membership, phi, re_margin)
 from .mfold import (CATALOG_NAMES, InverseCoefficients, MFoldFunction,
@@ -39,5 +38,5 @@ __all__ = [
     "structural_ceiling",
     "CoefficientSolution", "solve_alpha", "solve_beta", "forward_verify",
     "bound_consistency", "realizable_pair",
-    "SearchRecord", "ClimbRecord", "sweep", "sweep_cell", "hill_climb",
+    "SearchRecord", "sweep", "sweep_cell",
 ]

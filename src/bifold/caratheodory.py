@@ -128,12 +128,6 @@ class CaratheodoryFunction:
             return 1 + 0j
         return acc
 
-    def reflect(self):
-        """Atom map zeta -> -zeta (negates odd moments exactly)."""
-        return CaratheodoryFunction(
-            tuple((w, -z) for (w, z) in self.atoms),
-            fold=self.fold, backend=self.backend)
-
     def __repr__(self):
         return (f"CaratheodoryFunction({len(self.atoms)} atoms, "
                 f"fold={self.fold}, backend={self.backend!r})")

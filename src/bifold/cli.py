@@ -386,7 +386,7 @@ def cmd_search(args):
     args = _apply_config(args, {
         "kind": "both", "m": "1,2,3", "alpha": "1/2,1", "beta": "0,1/2",
         "lam": "1/4,1/2,1", "samples": 200, "seed": 0, "atoms": 3,
-        "realizable": 5, "mode": "sweep", "iterations": 500})
+        "realizable": 5})
     if args.kind != "both":
         _refuse_ignored_param(args, given, args.kind == "alpha")
     kinds = ("alpha", "beta") if args.kind == "both" else (args.kind,)
@@ -396,45 +396,22 @@ def cmd_search(args):
         "alpha": [float(x) for x in _parse_list(args.alpha, _parse_fraction)],
         "beta": [float(x) for x in _parse_list(args.beta, _parse_fraction)],
     }
-    rows = []
-    if args.mode == "climb":
-        for kind in kinds:
-            for m in m_values:
-                for param in params[kind]:
-                    for lam in lam_values:
-                        rec = explore.hill_climb(
-                            kind, m, param, lam, seed=_parse_seed(args.seed),
-                            iterations=int(args.iterations),
-                            atom_count=int(args.atoms))
-                        rows.append({
-                            "kind": kind, "m": m, "param": param,
-                            "lambda": lam, "iterations": rec.iterations,
-                            "accepted": rec.accepted,
-                            "start_value": rec.start_value,
-                            "best_value": rec.best_value,
-                            "ceiling": rec.ceiling,
-                            "ceiling_ratio": rec.ceiling_ratio})
-        _emit(rows, ["kind", "m", "param", "lambda", "iterations",
-                     "accepted", "start_value", "best_value", "ceiling",
-                     "ceiling_ratio"], args)
-        return 0
     records = explore.sweep(kinds, m_values, params, lam_values,
                             int(args.samples), _parse_seed(args.seed),
                             atom_count=int(args.atoms),
                             realizable=int(args.realizable))
-    for rec in records:
-        rows.append({
-            "kind": rec.kind, "m": rec.m, "param": rec.param,
-            "lambda": rec.lam, "samples": rec.samples,
-            "filtered_count": rec.filtered_count,
-            "max_a_m1": rec.max_a_m1, "max_a_2m1": rec.max_a_2m1,
-            "max_a_m1_unfiltered": rec.max_a_m1_unfiltered,
-            "max_a_2m1_unfiltered": rec.max_a_2m1_unfiltered,
-            "bound_a_m1": rec.bound_a_m1, "bound_a_2m1": rec.bound_a_2m1,
-            "ratio_a_m1": rec.ratio_a_m1, "ratio_a_2m1": rec.ratio_a_2m1,
-            "ceiling": rec.ceiling, "ceiling_ok": rec.ceiling_ok,
-            "argmax_seed": rec.argmax_seed,
-        })
+    rows = [{
+        "kind": rec.kind, "m": rec.m, "param": rec.param,
+        "lambda": rec.lam, "samples": rec.samples,
+        "filtered_count": rec.filtered_count,
+        "max_a_m1": rec.max_a_m1, "max_a_2m1": rec.max_a_2m1,
+        "max_a_m1_unfiltered": rec.max_a_m1_unfiltered,
+        "max_a_2m1_unfiltered": rec.max_a_2m1_unfiltered,
+        "bound_a_m1": rec.bound_a_m1, "bound_a_2m1": rec.bound_a_2m1,
+        "ratio_a_m1": rec.ratio_a_m1, "ratio_a_2m1": rec.ratio_a_2m1,
+        "ceiling": rec.ceiling, "ceiling_ok": rec.ceiling_ok,
+        "argmax_seed": rec.argmax_seed,
+    } for rec in records]
     _emit(rows, ["kind", "m", "param", "lambda", "samples",
                  "filtered_count", "max_a_m1", "max_a_2m1",
                  "max_a_m1_unfiltered", "max_a_2m1_unfiltered",
@@ -544,14 +521,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_caratheodory_sample)
 
     p = sub.add_parser(
-        "search", help="ensemble sweep / hill climb",
-        epilog="sweep columns: kind, m, param, lambda, samples, "
-               "filtered_count, max_a_m1, max_a_2m1, max_a_m1_unfiltered, "
+        "search", help="ensemble sweep",
+        epilog="columns: kind, m, param, lambda, samples, filtered_count, "
+               "max_a_m1, max_a_2m1, max_a_m1_unfiltered, "
                "max_a_2m1_unfiltered, bound_a_m1, bound_a_2m1, ratio_a_m1, "
-               "ratio_a_2m1, ceiling, ceiling_ok, argmax_seed; climb "
-               "columns: kind, m, param, lambda, iterations, accepted, "
-               "start_value, best_value, ceiling, ceiling_ratio")
-    p.add_argument("--mode", choices=("sweep", "climb"), default=None)
+               "ratio_a_2m1, ceiling, ceiling_ok, argmax_seed; ceiling is "
+               "the closed-form linear cap 4*lambda*t/(m*(1+lambda)) on "
+               "|a_{m+1}| (t = alpha or 1-beta), and a single atom attains "
+               "it")
     p.add_argument("--kind", choices=("alpha", "beta", "both"), default=None)
     p.add_argument("--m", default=None)
     p.add_argument("--alpha", default=None)
@@ -562,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", default=None)
     p.add_argument("--realizable", default=None,
                    help="constructed realizable pairs per cell")
-    p.add_argument("--iterations", default=None, help="climb iterations")
     _add_common(p)
     p.set_defaults(func=cmd_search)
 

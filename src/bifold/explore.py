@@ -1,4 +1,4 @@
-"""Ensemble sweeps and extremal hill climbing over sampled pair data.
+"""Ensemble sweeps over sampled pair data.
 
 Each cell of a parameter grid (kind, m, alpha-or-beta, lambda) draws seeded
 constrained pairs, solves the coefficient system and tracks the largest
@@ -19,32 +19,22 @@ which round exactly as Python's ``complex`` does.  Every maximum and
 every ``argmax_seed`` therefore equals the one-pair-at-a-time result, and
 ``constrained_pair(argmax_seed, ...)`` (or ``realizable_pair`` for a
 realizable tag) replays it exactly.
-
-The hill climber perturbs atom angles and weights of the p side
-coordinate-by-coordinate, accepting improvements of |a_{m+1}|.  Because the
-first coefficient is linear in p_m and |p_m| <= 2 is tight for a single
-atom, a single-atom start is already extremal; from scattered starts the
-climber should approach the linear-relation ceiling.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from .caratheodory import (CaratheodoryFunction, _pair_atoms_block,
-                           _subseed, constrained_pair)
+from .caratheodory import _pair_atoms_block, _subseed
 from .derivation import (class_constants, realizable_pair, _solve,
                          _solve_batch)
 from .membership import ClassSpec
 
-__all__ = ["SearchRecord", "sweep_cell", "sweep", "hill_climb",
-           "ClimbRecord", "DEFAULT_REALIZABILITY_THRESHOLD"]
+__all__ = ["SearchRecord", "sweep_cell", "sweep",
+           "DEFAULT_REALIZABILITY_THRESHOLD"]
 
 DEFAULT_REALIZABILITY_THRESHOLD = 1e-8
 # Constrained samples are drawn, checked and solved this many at a time, so
@@ -190,98 +180,3 @@ def sweep(kinds, m_values, params_by_kind, lam_values, samples, seed,
                         threshold=threshold))
     return records
 
-
-# ----------------------------------------------------------------------
-# hill climbing
-
-
-@dataclass
-class ClimbRecord:
-    kind: str
-    m: int
-    param: float
-    lam: float
-    iterations: int
-    accepted: int
-    start_value: float
-    best_value: float
-    ceiling: float
-    best_atoms: tuple = field(repr=False, default=())
-
-    @property
-    def ceiling_ratio(self) -> float:
-        return self.best_value / self.ceiling
-
-
-def _climb_state_to_function(weights, angles, m):
-    total = sum(weights)
-    atoms = [(w / total, cmath.exp(1j * a))
-             for w, a in zip(weights, angles)]
-    return CaratheodoryFunction(atoms, fold=m, backend="float")
-
-
-def _climb_objective(weights, angles, m, spec):
-    p = _climb_state_to_function(weights, angles, m)
-    q = p.reflect()
-    solution = _solve(p, q, spec)
-    return abs(complex(solution.a_m1))
-
-
-def hill_climb(kind, m, param, lam, seed, iterations,
-               start="spread", atom_count=3) -> ClimbRecord:
-    """Coordinate-wise stochastic ascent of |a_{m+1}| over p's atoms.
-
-    ``start`` is "spread" (two opposite atoms, first moment zero),
-    "sample" (a seeded random start) or an explicit CaratheodoryFunction.
-    Deterministic for a fixed seed; iterations=0 returns the evaluated
-    start unchanged.
-    """
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
-    if atom_count < 1:
-        raise ValueError("atom count must be >= 1")
-    spec = ClassSpec.from_kind(kind, m, param, lam)
-    rng = random.Random(_subseed(seed, "hillclimb", kind, m, param, lam))
-    if isinstance(start, CaratheodoryFunction):
-        weights = [w for w, _ in start.atoms]
-        angles = [cmath.phase(complex(z)) for _, z in start.atoms]
-    elif start == "spread":
-        weights = [1.0] * max(2, atom_count)
-        angles = [math.pi * i / len(weights) * 2 for i in range(len(weights))]
-        # evenly spread points: the first moment starts at (numerically) zero
-    elif start == "sample":
-        base = constrained_pair(_subseed(seed, "start"), m, atom_count,
-                                backend="float")[0]
-        weights = [w for w, _ in base.atoms]
-        angles = [cmath.phase(complex(z)) for _, z in base.atoms]
-    else:
-        raise ValueError(f"unknown start {start!r}")
-
-    value = _climb_objective(weights, angles, m, spec)
-    start_value = value
-    accepted = 0
-    n = len(weights)
-    steps = (0.6, 0.25, 0.1, 0.04)
-    for it in range(iterations):
-        coord = it % (2 * n)
-        step = steps[(it // (2 * n)) % len(steps)]
-        delta = rng.gauss(0.0, step)
-        if coord < n:
-            trial_w = list(weights)
-            trial_w[coord] = max(1e-9, trial_w[coord] * math.exp(delta))
-            trial_a = angles
-        else:
-            trial_a = list(angles)
-            trial_a[coord - n] = trial_a[coord - n] + delta
-            trial_w = weights
-        trial_value = _climb_objective(trial_w, trial_a, m, spec)
-        if trial_value > value:
-            weights, angles, value = trial_w, trial_a, trial_value
-            accepted += 1
-    final = _climb_state_to_function(weights, angles, m)
-    return ClimbRecord(
-        kind=kind, m=m, param=float(param), lam=float(lam),
-        iterations=iterations, accepted=accepted,
-        start_value=start_value, best_value=value,
-        ceiling=bounds_mod.structural_ceiling(m, param, lam, kind),
-        best_atoms=final.atoms)

@@ -257,12 +257,6 @@ def test_constrained_pair_deterministic():
     assert a[0].atoms == b[0].atoms and a[1].atoms == b[1].atoms
 
 
-def test_reflection_negates_first_moment():
-    p = CaratheodoryFunction([(1, unimodular_exact(F(2, 3)))])
-    q = p.reflect()
-    assert q.coefficient(1) == -p.coefficient(1)
-
-
 def test_self_negating_zero_moment():
     # p with p_m = 0 pairs with itself
     p = zero_moment_base()

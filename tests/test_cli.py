@@ -135,15 +135,6 @@ def test_search_sweep_json():
     assert rows[0]["ratio_a_m1"] <= 1 + 1e-10
 
 
-def test_search_climb_mode():
-    out = run_cli("search", "--mode", "climb", "--kind", "beta", "--m", "1",
-                  "--beta", "0", "--lambda", "1", "--seed", "5",
-                  "--iterations", "200", "--no-timestamp").stdout.splitlines()
-    row = dict(zip(out[0].split(","), out[1].split(",")))
-    assert float(row["best_value"]) >= float(row["start_value"])
-    assert float(row["best_value"]) <= float(row["ceiling"]) + 1e-9
-
-
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "alpha", "m": "2", "alpha": "1/2",
@@ -259,12 +250,10 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ("search", "--kind", "alpha", "--m", "1", "--samples", "-1"),
     ("search", "--kind", "alpha", "--m", "1", "--realizable", "-2"),
-    ("search", "--mode", "climb", "--kind", "alpha", "--m", "1",
-     "--iterations", "-3"),
     ("verify-inversion", "--samples", "-2"),
     ("caratheodory-sample", "--count", "-1"),
-], ids=["search-samples", "search-realizable", "climb-iterations",
-        "verify-inversion-samples", "caratheodory-sample-count"])
+], ids=["search-samples", "search-realizable", "verify-inversion-samples",
+        "caratheodory-sample-count"])
 def test_negative_counts_exit_2(argv):
     proc = run_cli(*argv, "--no-timestamp", check=False)
     assert proc.returncode == 2
@@ -283,13 +272,13 @@ def test_search_refuses_zero_atoms_before_drawing():
     assert proc.stdout == ""
 
 
-def test_search_climb_refuses_negative_atoms():
-    # used to climb over two atoms and print a row with exit 0
-    proc = run_cli("search", "--mode", "climb", "--kind", "alpha", "--m", "1",
-                   "--alpha", "1", "--lambda", "1", "--atoms", "-5",
-                   "--iterations", "3", "--no-timestamp", check=False)
+@pytest.mark.parametrize("flags", [("--mode", "climb"), ("--iterations", "5")],
+                         ids=["mode", "iterations"])
+def test_search_refuses_removed_climb_flags(flags):
+    proc = run_cli("search", *flags, "--kind", "alpha", "--m", "1",
+                   "--samples", "1", "--no-timestamp", check=False)
     assert proc.returncode == 2
-    assert proc.stderr == "error: atom count must be >= 1\n"
+    assert "unrecognized arguments" in proc.stderr
     assert proc.stdout == ""
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bifold.bounds import bound_alpha_exact, structural_ceiling
 from bifold.caratheodory import (CaratheodoryFunction, _float_faults,
                                  _pair_atoms_block, constrained_pair)
 from bifold.derivation import (_solve_batch, bound_consistency,
@@ -151,6 +152,49 @@ def test_forward_verify_corruption_is_linear():
     dirty = forward_verify(sol, p, q, a_2m1_override=sol.a_2m1 + 1)
     shift = dirty.residual_at("f", 2 * m) - clean.residual_at("f", 2 * m)
     assert shift == F(m) * (1 + lam) / lam
+
+
+# ----------------------------------------------------------------------
+# values attained within the paper's coefficient system
+
+
+@pytest.mark.parametrize("kind,param", [("alpha", F(1, 2)), ("beta", F(1, 4))],
+                         ids=["alpha", "beta"])
+@pytest.mark.parametrize("lam", [F(1, 4), F(1, 2), F(1)],
+                         ids=lambda lam: f"lam{float(lam):g}")
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_single_atom_pair_attains_linear_ceiling(kind, param, lam, m):
+    """p = delta(1), q = delta(-1) has |p_m| = 2, so the linear relation
+    K1 a_{m+1} = t p_m puts a_{m+1} on the cap 4 lam t/(m(1+lam))."""
+    p = CaratheodoryFunction([(1, ONE)], fold=m)
+    q = CaratheodoryFunction([(1, -ONE)], fold=m)
+    solve, t = ((solve_alpha, param) if kind == "alpha"
+                else (solve_beta, 1 - param))
+    sol = solve(p, q, m, param, lam)
+    ceiling = 4 * lam * t / (m * (1 + lam))
+    assert sol.a_m1 == QComplex(ceiling)
+    assert float(ceiling) == structural_ceiling(m, param, lam, kind)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_two_atom_pair_attains_arg_type_b1(m):
+    """At alpha = 1, lambda = 1/2 the pair below attains B1 = 1/m within the
+    paper's coefficient system: a_{m+1}^2 = B1^2 and every equation of the
+    system, the addition relation included, holds exactly.  The radicand of
+    B1 is 4 there, so s = (1 + lambda)/sqrt(4) = 3/4 gives p_m = 2s and
+    a_{m+1} = 4 lambda s/(m(1 + lambda)) = 1/m."""
+    s = F(3, 4)
+    p = CaratheodoryFunction([((1 + s) / 2, ONE), ((1 - s) / 2, -ONE)],
+                             fold=m)
+    q = CaratheodoryFunction([((1 - s) / 2, ONE), ((1 + s) / 2, -ONE)],
+                             fold=m)
+    sol = solve_alpha(p, q, m, F(1), F(1, 2))
+    b1_sq = bound_alpha_exact(m, 1, F(1, 2))[0]
+    assert b1_sq == F(1, m * m)
+    assert sol.a_m1 * sol.a_m1 == QComplex(b1_sq)
+    assert all(v == QComplex(0) for v in sol.residuals.values())
+    report = forward_verify(sol, p, q)
+    assert all(v == 0 for _, v in report.residuals_f + report.residuals_g)
 
 
 def test_bound_consistency_reports_realizability():

@@ -1,4 +1,4 @@
-"""Sweep records, realizability filtering, and the hill climber."""
+"""Sweep records and realizability filtering."""
 
 from fractions import Fraction
 
@@ -7,10 +7,9 @@ import pytest
 
 from bifold import caratheodory, explore
 from bifold.bounds import structural_ceiling
-from bifold.caratheodory import (CaratheodoryFunction, _subseed,
-                                 constrained_pair)
+from bifold.caratheodory import _subseed, constrained_pair
 from bifold.derivation import _solve, realizable_pair
-from bifold.explore import SearchRecord, hill_climb, sweep, sweep_cell
+from bifold.explore import SearchRecord, sweep, sweep_cell
 from bifold.membership import ClassSpec
 from bifold.series import ComplexBatch
 
@@ -69,51 +68,6 @@ def test_unfiltered_second_ratio_still_bounded():
     # |a_{2m+1}| <= B2 needs no realizability filter
     rec = sweep_cell("alpha", 1, 1.0, 1.0, 2000, seed=13)
     assert rec.max_a_2m1_unfiltered <= rec.bound_a_2m1 + 1e-10
-
-
-# ----------------------------------------------------------------------
-# hill climbing
-
-
-def test_extremal_single_atom_start_cannot_improve():
-    start = CaratheodoryFunction([(1.0, 1 + 0j)], fold=1, backend="float")
-    rec = hill_climb("alpha", 1, 1.0, 1.0, seed=3, iterations=150,
-                     start=start)
-    assert rec.start_value == pytest.approx(2.0, abs=1e-12)
-    assert rec.best_value == pytest.approx(2.0, abs=1e-12)
-
-
-def test_spread_start_climbs_to_ceiling():
-    rec = hill_climb("alpha", 1, 1.0, 1.0, seed=5, iterations=500)
-    assert rec.start_value < 0.05
-    assert rec.ceiling_ratio >= 0.9  # regression floor; observed ~1.0
-    assert rec.best_value <= rec.ceiling + 1e-9
-
-
-def test_zero_iterations_returns_start():
-    rec = hill_climb("beta", 2, 0.5, 0.5, seed=8, iterations=0)
-    assert rec.best_value == rec.start_value
-    assert rec.accepted == 0
-
-
-def test_climb_deterministic():
-    a = hill_climb("alpha", 2, 0.5, 0.25, seed=11, iterations=120)
-    b = hill_climb("alpha", 2, 0.5, 0.25, seed=11, iterations=120)
-    assert a == b
-
-
-def test_climb_never_exceeds_ceiling():
-    for kind, param in (("alpha", 1.0), ("beta", 0.0)):
-        rec = hill_climb(kind, 1, param, 0.5, seed=17, iterations=300)
-        assert rec.best_value <= rec.ceiling + 1e-9
-
-
-def test_climb_beats_plain_sweep_budget():
-    # statistical, not per-seed: 500 climb steps find a better extremum
-    # than 500 plain draws because the objective is linear in p_m
-    swept = sweep_cell("alpha", 1, 1.0, 1.0, 500, seed=23)
-    climbed = hill_climb("alpha", 1, 1.0, 1.0, seed=23, iterations=500)
-    assert climbed.best_value >= swept.max_a_m1_unfiltered
 
 
 # ----------------------------------------------------------------------
@@ -257,21 +211,14 @@ NEGATIVE_COUNTS = {  # name: (least allowed value, a call below it)
     "samples": (0, lambda: sweep_cell("alpha", 1, 1.0, 1.0, -1, seed=0)),
     "realizable": (0, lambda: sweep_cell("alpha", 1, 1.0, 1.0, 10, seed=0,
                                          realizable=-2)),
-    "iterations": (0, lambda: hill_climb("alpha", 1, 1.0, 1.0, seed=0,
-                                         iterations=-3)),
     # refused before any draw, even when the cell would draw nothing
     "atom count": (1, lambda: sweep_cell("alpha", 1, 1.0, 1.0, 0, seed=0,
                                          atom_count=0)),
-    # the spread start used to take max(2, atom_count) atoms instead
-    "atom count (climb)": (1, lambda: hill_climb("alpha", 1, 1.0, 1.0, seed=0,
-                                                 iterations=3,
-                                                 atom_count=-5)),
 }
 
 
 @pytest.mark.parametrize("count", sorted(NEGATIVE_COUNTS))
 def test_negative_counts_are_refused(count):
     least, call = NEGATIVE_COUNTS[count]
-    name = count.split(" (")[0]  # a parenthesized suffix names the caller
-    with pytest.raises(ValueError, match=f"^{name} must be >= {least}"):
+    with pytest.raises(ValueError, match=f"^{count} must be >= {least}"):
         call()

@@ -54,9 +54,6 @@ CASES = {
                                   "--exact"],
     "search-sweep": ["search", "--kind", "both", "--m", "1,2", "--samples",
                      "40", "--seed", "3", "--realizable", "2"],
-    "search-climb": ["search", "--mode", "climb", "--kind", "both", "--m",
-                     "1,2", "--alpha", "1/2", "--beta", "1/4", "--lambda",
-                     "1/2,1", "--iterations", "60", "--seed", "9"],
 }
 FORMATS = {"csv": ["--no-timestamp"],
            "json": ["--format", "json", "--no-timestamp"]}
@@ -75,6 +72,11 @@ def test_output_matches_golden(filename):
     assert code == 0
     expected = (GOLDEN / filename).read_bytes()
     assert stream.getvalue().encode() == expected
+
+
+def test_every_golden_file_has_a_case():
+    # a case deleted without its files would leave them unchecked
+    assert {path.name for path in GOLDEN.iterdir()} == set(RUNS)
 
 
 def test_overflowing_membership_writes_nothing_to_stderr():
