@@ -16,7 +16,7 @@ condition on class members, so neither shows the bound sharp for the class.
 
 from fractions import Fraction as F
 
-from bifold import (CaratheodoryFunction, QComplex, forward_verify,
+from bifold import (CaratheodoryFunction, ClassSpec, QComplex, forward_verify,
                     solve_alpha, structural_ceiling, sweep_cell)
 from bifold.bounds import bound_alpha_exact
 
@@ -43,7 +43,7 @@ for m in (1, 2):
         p = CaratheodoryFunction([(1, ONE)], fold=m)
         q = CaratheodoryFunction([(1, -ONE)], fold=m)
         a_m1 = solve_alpha(p, q, m, F(1), lam).a_m1
-        ceiling = structural_ceiling(m, 1, lam)
+        ceiling = structural_ceiling(ClassSpec("arg", m=m, lam=lam, alpha=1))
         print(f"  m={m} lam={str(lam):>3}: a_(m+1) = {a_m1.real}, "
               f"ceiling {ceiling:.4f}, "
               f"{'attained' if float(a_m1.real) == ceiling else 'MISSED'}")

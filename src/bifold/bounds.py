@@ -17,7 +17,9 @@ reductions can be cross-checked; the first-coefficient comparisons are done
 on squared quantities in exact rational arithmetic, because the bounds
 themselves carry a square root and are otherwise float-only.
 
-Parameters outside the stated ranges are rejected, not clamped.
+Parameters outside the stated ranges are rejected, not clamped; the
+``_check_*`` helpers here are the one home of those ranges, which
+``membership.ClassSpec`` and ``membership.phi`` use too.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ __all__ = [
     "structural_ceiling",
 ]
 
+# the float slack on an achieved/bound ratio: a ratio above 1 + RATIO_SLACK
+# is a finding
+RATIO_SLACK = 1e-10
+
 
 def _check_m(m):
     if not isinstance(m, int) or m < 1:
@@ -43,18 +49,18 @@ def _check_m(m):
 
 
 def _check_alpha(alpha):
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
+    if alpha is None or not 0 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 def _check_beta(beta):
-    if not 0 <= beta < 1:
-        raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
+    if beta is None or not 0 <= beta < 1:
+        raise ValueError(f"beta must lie in [0, 1), got {beta}")
 
 
 def _check_lambda(lam):
     if not 0 < lam <= 1:
-        raise ValueError(f"lambda must lie in (0, 1], got {lam!r}")
+        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
 
 
 def bound_alpha_exact(m, alpha, lam):
@@ -134,7 +140,7 @@ def corollary_bounds(which, m=1, alpha=None, beta=None):
     return math.sqrt(b1_sq), float(b2)
 
 
-def verify_reductions(m_values, alpha_values, beta_values, tol=1e-12):
+def verify_reductions(m_values, alpha_values, beta_values):
     """Check that the lambda = 1 bounds equal their special-case formulas.
 
     Returns a list of row dicts, one per (kind, m, parameter) cell, each
@@ -166,23 +172,14 @@ def verify_reductions(m_values, alpha_values, beta_values, tol=1e-12):
     return rows
 
 
-def structural_ceiling(m, param, lam, kind="alpha"):
+def structural_ceiling(spec):
     """The linear-relation cap on |a_{m+1}|: 4*L*t/(m*(1+L)).
 
-    t is alpha for the arg-type class and (1-beta) for the re-type class;
-    the cap follows from |p_m| <= 2 alone and is coarser than the class
-    bound, so every sampled solution must respect it.
+    ``spec`` is a ``ClassSpec``; t is alpha for the arg-type class and
+    (1-beta) for the re-type class.  The cap follows from |p_m| <= 2 alone
+    and is coarser than the class bound, so every sampled solution must
+    respect it.
     """
-    _check_m(m)
-    lam = Fraction(lam)
-    _check_lambda(lam)
-    if kind == "alpha":
-        t = Fraction(param)
-        _check_alpha(t)
-    elif kind == "beta":
-        b = Fraction(param)
-        _check_beta(b)
-        t = 1 - b
-    else:
-        raise ValueError(f"kind must be 'alpha' or 'beta', got {kind!r}")
-    return float(4 * lam * t / (m * (1 + lam)))
+    lam, param = Fraction(spec.lam), Fraction(spec.param)
+    t = param if spec.kind == "arg" else 1 - param
+    return float(4 * lam * t / (spec.m * (1 + lam)))

@@ -217,18 +217,18 @@ def _float_faults(atoms):
 # sampling
 
 
-def _draw_atoms(rng, count, backend, scale=1, t_range=24):
+def _draw_atoms(rng, count, backend, scale=1):
     """``count`` seeded atoms of total weight ``scale``, weights drawn first.
 
     Float atoms take exponential weights and uniform circle points; exact
     atoms take integer weights in [1, 60] and the rational unimodular point
     of a random tangent-half parameter with numerator and denominator
-    bounded by ``t_range``.
+    bounded by 24.
     """
     if backend == EXACT:
         raw = [Fraction(rng.randint(1, 60)) for _ in range(count)]
-        points = [unimodular_exact(Fraction(rng.randint(-t_range, t_range),
-                                            rng.randint(1, t_range)))
+        points = [unimodular_exact(Fraction(rng.randint(-24, 24),
+                                            rng.randint(1, 24)))
                   for _ in range(count)]
     else:
         raw = [rng.expovariate(1.0) for _ in range(count)]
@@ -238,11 +238,10 @@ def _draw_atoms(rng, count, backend, scale=1, t_range=24):
     return [(scale * r / total, z) for r, z in zip(raw, points)]
 
 
-def _sample(seed, atom_count, m, backend, t_range=24):
+def _sample(seed, atom_count, m, backend):
     if atom_count < 1:
         raise ValueError("atom count must be >= 1")
-    atoms = _draw_atoms(random.Random(seed), atom_count, backend,
-                        t_range=t_range)
+    atoms = _draw_atoms(random.Random(seed), atom_count, backend)
     return CaratheodoryFunction(atoms, fold=m, backend=backend)
 
 
@@ -251,9 +250,9 @@ def sample(seed, atom_count, m=1) -> CaratheodoryFunction:
     return _sample(seed, atom_count, m, FLOAT)
 
 
-def sample_exact(seed, atom_count, m=1, t_range=24) -> CaratheodoryFunction:
+def sample_exact(seed, atom_count, m=1) -> CaratheodoryFunction:
     """Seeded exact sample: rational weights, rational unimodular points."""
-    return _sample(seed, atom_count, m, EXACT, t_range)
+    return _sample(seed, atom_count, m, EXACT)
 
 
 # ----------------------------------------------------------------------
@@ -313,12 +312,11 @@ def _tail_atoms(rng, count, s, backend):
     return atoms
 
 
-def _pair_atoms(seed, m, atom_count, backend, tail_pairs=None):
+def _pair_atoms(seed, m, atom_count, backend):
     """The seeded atom lists (p_atoms, q_atoms) of ``constrained_pair``."""
     if atom_count < 1:
         raise ValueError("atom count must be >= 1")
-    if tail_pairs is None:
-        tail_pairs = max(1, atom_count // 2)
+    tail_pairs = max(1, atom_count // 2)
     rng = random.Random(_subseed(seed, m, backend, "pair"))
     real, _ = scalar_types(backend)
     s = real(rng.randint(1, 3)) / 4  # tail weight share
@@ -387,7 +385,7 @@ def _pair_atoms_block(tags, m, atom_count):
                               for w, c, sn in core])
 
 
-def constrained_pair(seed, m, atom_count=3, backend=FLOAT, tail_pairs=None):
+def constrained_pair(seed, m, atom_count=3, backend=FLOAT):
     """A seeded (p, q) pair whose first coefficients cancel: p_m = -q_m.
 
     The two functions share an antisymmetric core: identical weights with
@@ -398,7 +396,7 @@ def constrained_pair(seed, m, atom_count=3, backend=FLOAT, tail_pairs=None):
     nothing to the first moment but decouple the second ones, so p_2m and
     q_2m stay independent and the pair ensemble is not artificially thin.
     """
-    p_atoms, q_atoms = _pair_atoms(seed, m, atom_count, backend, tail_pairs)
+    p_atoms, q_atoms = _pair_atoms(seed, m, atom_count, backend)
     p = CaratheodoryFunction(p_atoms, fold=m, backend=backend)
     q = CaratheodoryFunction(q_atoms, fold=m, backend=backend)
     return p, q
@@ -417,40 +415,31 @@ class Lemma1Report:
     second_lhs: float = 0.0
     second_rhs: float = 0.0
     second_ok: bool = True
-    tolerance: float = 1e-12
 
     @property
     def ok(self) -> bool:
         return self.second_ok and all(ok for (_, _, ok) in self.magnitudes)
 
-    @property
-    def violations(self):
-        out = [(k, mag) for (k, mag, ok) in self.magnitudes if not ok]
-        if not self.second_ok:
-            out.append(("second", self.second_lhs - self.second_rhs))
-        return out
 
-
-def check_lemma1(p: CaratheodoryFunction, depth=2,
-                 tolerance=1e-12) -> Lemma1Report:
+def check_lemma1(p: CaratheodoryFunction, depth=2) -> Lemma1Report:
     """Check |p_{km}| <= 2 for k <= depth and the second-coefficient bound.
 
     The second inequality compares |p_{2m} - p_m^2/2| against 2 - |p_m|^2/2,
     i.e. it is applied to the first two nonzero coefficients of the m-fold
     expansion.  On the exact backend the comparisons are exact (squared
-    forms); on floats they carry ``tolerance``.  A violation is reported,
+    forms); on floats they carry a slack of 1e-12.  A violation is reported,
     not raised.
     """
     if depth < 2:
         raise ValueError("the second inequality needs depth >= 2")
-    report = Lemma1Report(fold=p.fold, tolerance=tolerance)
+    report = Lemma1Report(fold=p.fold)
     moments = p.moments(depth)
     exact = p.backend == EXACT
     for k, value in enumerate(moments, start=1):
         if exact:
             ok = value.abs2() <= 4
         else:
-            ok = abs(value) <= 2 + tolerance
+            ok = abs(value) <= 2 + 1e-12
         report.magnitudes.append((k, abs(value), ok))
     p1, p2 = moments[0], moments[1]
     diff = p2 - p1 * p1 / 2
@@ -463,7 +452,7 @@ def check_lemma1(p: CaratheodoryFunction, depth=2,
         rhs = 2 - abs(p1) ** 2 / 2
         report.second_lhs = abs(diff)
         report.second_rhs = rhs
-        report.second_ok = abs(diff) <= rhs + tolerance
+        report.second_ok = abs(diff) <= rhs + 1e-12
     return report
 
 

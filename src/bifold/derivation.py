@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import RATIO_SLACK
 from .caratheodory import (CaratheodoryFunction, with_moments,
                            zero_moment_base, _float_faults, _moment, _sample,
                            _subseed)
@@ -101,7 +102,7 @@ class ClassConstants(NamedTuple):
     """
 
     spec: ClassSpec
-    exact: bool
+    backend: str
     lam: object
     param: object  # alpha or beta
     t: object  # alpha or 1 - beta
@@ -126,26 +127,26 @@ class ClassConstants(NamedTuple):
         return (r - self.square * x_m * x_m) / self.t
 
 
-def class_constants(spec: ClassSpec, exact: bool) -> ClassConstants:
+def class_constants(spec: ClassSpec, backend: str) -> ClassConstants:
     """K1, K2, t and the right-hand-side weights of ``spec``.
 
-    Exact constants are Fractions and need rational parameters; otherwise
-    they are floats.
+    On the ``"exact"`` backend the constants are Fractions and need rational
+    parameters; on ``"float"`` they are floats.
     """
-    if exact:
+    if backend == EXACT:
         for name, value in (("lambda", spec.lam), ("param", spec.param)):
             if not isinstance(value, (int, Fraction)):
                 raise TypeError(
                     f"exact-backend derivation needs rational parameters; "
                     f"{name}={value!r} is not")
-    real, _ = scalar_types(EXACT if exact else FLOAT)
+    real, _ = scalar_types(backend)
     lam, param, m = real(spec.lam), real(spec.param), spec.m
     if spec.kind == "arg":
         t, square = param, param * (param - 1) / 2
     else:
         t, square = 1 - param, None
     # positional: a sweep builds one per solve
-    return ClassConstants(spec, exact, lam, param, t, square,
+    return ClassConstants(spec, backend, lam, param, t, square,
                           m * (1 + lam) / (2 * lam),
                           m * m * (1 - lam) / (4 * lam * lam))
 
@@ -185,33 +186,33 @@ def solve_moments(p_m, p_2m, q_m, q_2m,
     }
     return CoefficientSolution(
         spec=c.spec, a_m1=a1, a_2m1=a2, p_m=p_m, p_2m=p_2m, q_m=q_m,
-        q_2m=q_2m, residuals=residuals, backend=EXACT if c.exact else FLOAT)
+        q_2m=q_2m, residuals=residuals, backend=c.backend)
 
 
 _GAP_TOL = 1e-12  # float moment constraint: |p_m + q_m| <= tol max(1, |p_m|)
 
 
-def _gap_too_large(p_m, q_m, tol):
+def _gap_too_large(p_m, q_m):
     """The float moment-constraint check; on a batch, one flag per pair."""
     gap = abs(p_m + q_m)
-    return (gap > tol) & (gap > tol * abs(p_m))
+    return (gap > _GAP_TOL) & (gap > _GAP_TOL * abs(p_m))
 
 
 def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
-           spec: ClassSpec, tol=_GAP_TOL) -> CoefficientSolution:
+           spec: ClassSpec) -> CoefficientSolution:
     if p.backend != q.backend:
         raise ValueError("p and q must share a backend")
     if p.fold != spec.m or q.fold != spec.m:
         raise ValueError("fold order of p, q must match the class spec")
-    constants = class_constants(spec, p.backend == EXACT)
+    constants = class_constants(spec, p.backend)
     p_m, p_2m = p.coefficient(1), p.coefficient(2)
     q_m, q_2m = q.coefficient(1), q.coefficient(2)
 
-    if constants.exact:
+    if p.backend == EXACT:
         gap = p_m + q_m
         if gap != 0:
             raise ValueError(f"moment constraint violated: p_m + q_m = {gap!r}")
-    elif _gap_too_large(p_m, q_m, tol):
+    elif _gap_too_large(p_m, q_m):
         raise ValueError(
             f"moment constraint violated: |p_m + q_m| = {abs(p_m + q_m)}")
     return solve_moments(p_m, p_2m, q_m, q_2m, constants)
@@ -231,7 +232,7 @@ def _solve_batch(p_atoms, q_atoms, constants) -> CoefficientSolution:
     p_m, p_2m = _moment(p_atoms, 1, complex), _moment(p_atoms, 2, complex)
     q_m, q_2m = _moment(q_atoms, 1, complex), _moment(q_atoms, 2, complex)
     bad = (_float_faults(p_atoms) | _float_faults(q_atoms)
-           | _gap_too_large(p_m, q_m, _GAP_TOL))
+           | _gap_too_large(p_m, q_m))
     for i in np.flatnonzero(bad):
         p, q = (CaratheodoryFunction(
             [(w[i], complex(z.re[i], z.im[i])) for w, z in atoms],
@@ -240,14 +241,14 @@ def _solve_batch(p_atoms, q_atoms, constants) -> CoefficientSolution:
     return solve_moments(p_m, p_2m, q_m, q_2m, constants)
 
 
-def solve_alpha(p, q, m, alpha, lam, tol=_GAP_TOL) -> CoefficientSolution:
+def solve_alpha(p, q, m, alpha, lam) -> CoefficientSolution:
     """Solve the arg-type coefficient system for a constrained pair."""
-    return _solve(p, q, ClassSpec("arg", m=m, lam=lam, alpha=alpha), tol=tol)
+    return _solve(p, q, ClassSpec("arg", m=m, lam=lam, alpha=alpha))
 
 
-def solve_beta(p, q, m, beta, lam, tol=_GAP_TOL) -> CoefficientSolution:
+def solve_beta(p, q, m, beta, lam) -> CoefficientSolution:
     """Solve the re-type coefficient system for a constrained pair."""
-    return _solve(p, q, ClassSpec("re", m=m, lam=lam, beta=beta), tol=tol)
+    return _solve(p, q, ClassSpec("re", m=m, lam=lam, beta=beta))
 
 
 # ----------------------------------------------------------------------
@@ -289,20 +290,20 @@ def forward_verify(solution: CoefficientSolution, p, q,
     """
     spec = solution.spec
     m = spec.m
-    exact = solution.backend == EXACT
-    c = class_constants(spec, exact)
+    backend = solution.backend
+    c = class_constants(spec, backend)
     a1 = solution.a_m1
     a2 = solution.a_2m1 if a_2m1_override is None else a_2m1_override
     order = 2 * m + 1
     f = TruncatedSeries.from_dict({1: 1, m + 1: a1, 2 * m + 1: a2},
-                                  order, backend=solution.backend)
+                                  order, backend=backend)
     g = f.revert()
 
     def target(carath):
         series = carath.expand(2 * m)
-        if exact and series.backend != EXACT:
+        if backend == EXACT and series.backend != EXACT:
             raise ValueError("exact solution needs exact p, q")
-        if not exact:
+        if backend != EXACT:
             series = series.to_float()
         if spec.kind == "arg":
             return series.pow(c.param)
@@ -332,7 +333,6 @@ class ConsistencyReport:
     bound_a_m1: float
     bound_a_2m1: float
     realizability: float
-    slack: float = 1e-10
 
     @property
     def ratio_a_m1(self) -> float:
@@ -344,18 +344,17 @@ class ConsistencyReport:
 
     @property
     def ok(self) -> bool:
-        return (self.ratio_a_m1 <= 1 + self.slack
-                and self.ratio_a_2m1 <= 1 + self.slack)
+        return (self.ratio_a_m1 <= 1 + RATIO_SLACK
+                and self.ratio_a_2m1 <= 1 + RATIO_SLACK)
 
 
-def bound_consistency(solution: CoefficientSolution,
-                      slack=1e-10) -> ConsistencyReport:
+def bound_consistency(solution: CoefficientSolution) -> ConsistencyReport:
     """Compare |a_{m+1}|, |a_{2m+1}| against the class bounds.
 
     Meaningful for solutions whose realizability score is (near) zero: the
     first-coefficient bound rests on the addition relation.  The second
-    bound holds for every constrained pair.  A ratio above 1 + slack is a
-    reportable finding, not an exception.
+    bound holds for every constrained pair.  A ratio above
+    1 + ``bounds.RATIO_SLACK`` is a reportable finding, not an exception.
     """
     b1, b2 = solution.spec.bounds()
     return ConsistencyReport(
@@ -364,8 +363,7 @@ def bound_consistency(solution: CoefficientSolution,
         abs_a_2m1=abs(complex(solution.a_2m1)),
         bound_a_m1=b1,
         bound_a_2m1=b2,
-        realizability=solution.realizability,
-        slack=slack)
+        realizability=solution.realizability)
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +380,7 @@ def realizable_pair(seed, spec: ClassSpec, backend=EXACT, atom_count=3):
     are honest class-member candidates at coefficient depth 2m, so the
     bound ratios apply to them with no filtering caveat.
     """
-    c = class_constants(spec, backend == EXACT)
+    c = class_constants(spec, backend)
     m = spec.m
     real, _ = scalar_types(backend)
     raw = _sample(_subseed(seed, "realizable", spec.kind, m), atom_count, m,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds as bounds_mod
+from .bounds import RATIO_SLACK, structural_ceiling
 from .caratheodory import _pair_atoms_block, _subseed
 from .derivation import (class_constants, realizable_pair, _solve,
                          _solve_batch)
@@ -76,15 +76,16 @@ class SearchRecord:
 
     @property
     def ceiling_ok(self) -> bool:
-        return self.max_a_m1_unfiltered <= self.ceiling + 1e-10
+        return self.max_a_m1_unfiltered <= self.ceiling + RATIO_SLACK
 
     @property
     def ok(self) -> bool:
         """The cell's verdict: a nonempty filter, both filtered ratios at
-        most 1 + 1e-10 and the unfiltered |a_{m+1}| under the ceiling."""
+        most 1 + RATIO_SLACK and the unfiltered |a_{m+1}| under the
+        ceiling."""
         return (self.filtered_count > 0
-                and self.ratio_a_m1 <= 1 + 1e-10
-                and self.ratio_a_2m1 <= 1 + 1e-10
+                and self.ratio_a_m1 <= 1 + RATIO_SLACK
+                and self.ratio_a_2m1 <= 1 + RATIO_SLACK
                 and self.ceiling_ok)
 
 
@@ -103,7 +104,7 @@ def sweep_cell(kind, m, param, lam, samples, seed,
     if atom_count < 1:
         raise ValueError("atom count must be >= 1")
     spec = ClassSpec.from_kind(kind, m, param, lam)
-    constants = class_constants(spec, exact=False)
+    constants = class_constants(spec, "float")
     lam_f = float(lam)
     param_f = float(param)
     best = {"f1": 0.0, "f2": 0.0, "u1": 0.0, "u2": 0.0,
@@ -156,7 +157,7 @@ def sweep_cell(kind, m, param, lam, samples, seed,
         max_a_m1=best["f1"], max_a_2m1=best["f2"],
         max_a_m1_unfiltered=best["u1"], max_a_2m1_unfiltered=best["u2"],
         bound_a_m1=b1, bound_a_2m1=b2,
-        ceiling=bounds_mod.structural_ceiling(m, param, lam, kind),
+        ceiling=structural_ceiling(spec),
         argmax_seed=best["fseed"], argmax_seed_unfiltered=best["useed"],
         threshold=threshold)
 

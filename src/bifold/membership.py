@@ -67,16 +67,11 @@ class ClassSpec:
         if self.kind not in ("arg", "re"):
             raise ValueError(f"kind must be 'arg' or 're', got {self.kind!r}")
         bounds_mod._check_m(self.m)
-        if not 0 < self.lam <= 1:
-            raise ValueError(f"lambda must lie in (0, 1], got {self.lam!r}")
+        bounds_mod._check_lambda(self.lam)
         if self.kind == "arg":
-            if self.alpha is None or not 0 < self.alpha <= 1:
-                raise ValueError(f"arg-type needs alpha in (0, 1], "
-                                 f"got {self.alpha!r}")
+            bounds_mod._check_alpha(self.alpha)
         else:
-            if self.beta is None or not 0 <= self.beta < 1:
-                raise ValueError(f"re-type needs beta in [0, 1), "
-                                 f"got {self.beta!r}")
+            bounds_mod._check_beta(self.beta)
 
     @classmethod
     def from_kind(cls, kind, m, param, lam) -> "ClassSpec":
@@ -112,8 +107,7 @@ def phi(f: TruncatedSeries, lam) -> TruncatedSeries:
     """
     if not f.is_normalized():
         raise ValueError("the membership functional needs a normalized series")
-    if not 0 < lam <= 1:
-        raise ValueError(f"lambda must lie in (0, 1], got {lam!r}")
+    bounds_mod._check_lambda(lam)
     return _phi_of_ratio(_log_derivative(f), lam)
 
 
@@ -142,16 +136,19 @@ def re_margin(value, spec: ClassSpec) -> float:
     return complex(value).real - float(spec.beta)
 
 
-def tail_estimate(series: TruncatedSeries, radius: float, window=6) -> float:
+_TAIL_WINDOW = 6
+
+
+def tail_estimate(series: TruncatedSeries, radius: float) -> float:
     """Crude geometric extrapolation of the truncation error at |z| = radius.
 
-    Looks at the trailing ``window`` coefficient magnitudes (never the
+    Looks at the trailing six coefficient magnitudes (never the
     constant term, which no truncation cuts), takes the largest ratio of
     consecutive nonzero ones as the growth rate rho, and bounds the tail by
     |c_N| r^N * q/(1-q) with q = rho*r.  Infinite when the extrapolated
     terms do not decay.  Identically zero series tails are zero.
     """
-    start = max(1, series.order + 1 - window)
+    start = max(1, series.order + 1 - _TAIL_WINDOW)
     last = [abs(complex(c)) for c in series.coeffs[start:]]
     if max(last, default=0.0) == 0.0:
         return 0.0

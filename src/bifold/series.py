@@ -300,10 +300,6 @@ def _coerce_scalar(value, backend):
     return complex(value)
 
 
-def _is_zero(value) -> bool:
-    return not value
-
-
 def _has_negative_zero(value: complex) -> bool:
     """True when a part of value is -0.0."""
     re, im = value.real, value.imag
@@ -732,13 +728,13 @@ class TruncatedSeries:
     def valuation(self):
         """Index of the first nonzero coefficient, or None for the zero series."""
         for n, c in enumerate(self.coeffs):
-            if not _is_zero(c):
+            if c:
                 return n
         return None
 
     def is_normalized(self) -> bool:
         """True iff c[0] = 0 and c[1] = 1 (the shape ``z + a2 z^2 + ...``)."""
-        return self.order >= 1 and _is_zero(self.coeffs[0]) and self.coeffs[1] == 1
+        return self.order >= 1 and not self.coeffs[0] and self.coeffs[1] == 1
 
     def truncate(self, order):
         if order > self.order:
@@ -806,7 +802,7 @@ class TruncatedSeries:
         if v > 0:
             # factor z^v from both; the numerator must allow it
             for n in range(min(v, self.order + 1)):
-                if not _is_zero(self.coeffs[n]):
+                if self.coeffs[n]:
                     raise ZeroDivisionError(
                         "denominator has zero leading coefficient and the "
                         "numerator does not share the z factor")
@@ -826,10 +822,10 @@ class TruncatedSeries:
             acc = self.coeffs[k]
             for i in nonzero:
                 d = other.coeffs[k - i]
-                if not _is_zero(d):
+                if d:
                     acc = acc - out[i] * d
             out.append(acc / b0)
-            if not _is_zero(out[k]):
+            if out[k]:
                 nonzero.append(k)
         return TruncatedSeries(out, backend=self.backend)
 
@@ -847,12 +843,6 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.backend, self.coeffs))
 
-    def max_abs_diff(self, other) -> float:
-        """Largest coefficientwise |difference| up to the shared order."""
-        n = min(self.order, other.order)
-        return max(abs(complex(self.coeffs[i]) - complex(other.coeffs[i]))
-                   for i in range(n + 1))
-
     # ------------------------------------------------------------------
     # shifts and substitutions
 
@@ -866,7 +856,7 @@ class TruncatedSeries:
         if self.order < k:
             raise ValueError("series truncates before the z factor ends")
         for n in range(k):
-            if not _is_zero(self.coeffs[n]):
+            if self.coeffs[n]:
                 raise ValueError(f"coefficient at z^{n} is nonzero; cannot "
                                  f"divide by z^{k}")
         return TruncatedSeries(self.coeffs[k:], backend=self.backend)
@@ -905,7 +895,7 @@ class TruncatedSeries:
     def compose(self, inner):
         """Series of self(inner(z)); requires inner(0) = 0."""
         self._check_backend(inner)
-        if not _is_zero(inner.coeffs[0]):
+        if inner.coeffs[0]:
             raise ValueError("inner series must have zero constant term")
         n = min(self.order, inner.order)
         outer = self.coeffs[: n + 1]
@@ -956,7 +946,7 @@ class TruncatedSeries:
 
         Recursion from E' = a' E, so E_n = (1/n) sum_{k<=n} k a_k E_{n-k}.
         """
-        if not _is_zero(self.coeffs[0]):
+        if self.coeffs[0]:
             raise ValueError("exp0 needs constant term exactly 0")
         if self.backend == FLOAT:
             return TruncatedSeries(_exp0_float(self.coeffs), backend=FLOAT)
@@ -965,13 +955,13 @@ class TruncatedSeries:
         # the nonzero k*a_k in ascending k; terms with a zero out[j-k] are
         # skipped too (see the note on zero skipping above)
         terms = [(k, k * ak) for k, ak in enumerate(self.coeffs)
-                 if k and not _is_zero(ak)]
+                 if k and ak]
         for j in range(1, self.order + 1):
             acc = zero
             for k, kak in terms:
                 if k > j:
                     break
-                if not _is_zero(out[j - k]):
+                if out[j - k]:
                     acc = acc + kak * out[j - k]
             out.append(acc / j)
         return TruncatedSeries(out, backend=self.backend)

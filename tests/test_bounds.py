@@ -9,6 +9,8 @@ from bifold.bounds import (bound_alpha, bound_alpha_exact, bound_beta,
                            bound_beta_exact, corollary_bounds,
                            corollary_bounds_exact, structural_ceiling,
                            verify_reductions)
+from bifold.membership import ClassSpec, phi
+from bifold.series import TruncatedSeries
 
 F = Fraction
 
@@ -108,17 +110,34 @@ def test_positive_on_domain_grid():
     lambda: corollary_bounds(10, m=2, alpha=1),
     lambda: corollary_bounds(8, m=1, alpha=1),
     lambda: corollary_bounds(6, m=1),
+    lambda: ClassSpec("arg"),
+    lambda: ClassSpec("re"),
+    lambda: ClassSpec("arg", lam=0, alpha=1),
+    lambda: phi(TruncatedSeries.exact([0, 1, 1]), 0),
+    lambda: bound_alpha_exact(1, 1, 0),
 ])
 def test_out_of_range_rejected(call):
     with pytest.raises(ValueError):
         call()
 
 
+def test_range_messages_come_from_one_validator():
+    messages = set()
+    for call in (lambda: ClassSpec("arg", lam=0, alpha=1),
+                 lambda: phi(TruncatedSeries.exact([0, 1, 1]), F(0)),
+                 lambda: bound_alpha_exact(1, 1, 0)):
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"lambda must lie in (0, 1], got 0"}
+
+
 def test_structural_ceiling_values():
-    assert structural_ceiling(1, 1, 1, "alpha") == 2.0
-    assert structural_ceiling(2, F(1, 2), F(1, 2), "alpha") \
+    assert structural_ceiling(ClassSpec("arg", m=1, lam=1, alpha=1)) == 2.0
+    assert structural_ceiling(ClassSpec("arg", m=2, lam=F(1, 2),
+                                        alpha=F(1, 2))) \
         == pytest.approx(1 / 3)
-    assert structural_ceiling(1, 0, 1, "beta") == 2.0
+    assert structural_ceiling(ClassSpec("re", m=1, lam=1, beta=0)) == 2.0
 
 
 def test_ceiling_exceeds_bound():
@@ -127,5 +146,5 @@ def test_ceiling_exceeds_bound():
         for k in range(1, 5):
             a = F(k, 4)
             lam = F(k, 4)
-            assert structural_ceiling(m, a, lam, "alpha") \
-                > bound_alpha(m, a, lam)[0]
+            spec = ClassSpec("arg", m=m, lam=lam, alpha=a)
+            assert structural_ceiling(spec) > bound_alpha(m, a, lam)[0]

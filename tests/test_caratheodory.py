@@ -123,7 +123,7 @@ def test_lemma_equality_case():
 def test_lemma_monte_carlo_float():
     for i in range(400):
         fn = sample(f"lemma-mc/{i}", 5, 1)
-        assert check_lemma1(fn, depth=4, tolerance=1e-12).ok
+        assert check_lemma1(fn, depth=4).ok
 
 
 def test_lemma_exact_backend_is_exact():

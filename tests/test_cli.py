@@ -43,6 +43,23 @@ def test_bounds_rejects_out_of_range():
     assert "alpha" in proc.stderr
 
 
+def test_range_errors_read_the_same_across_commands():
+    messages = set()
+    for argv in (("bounds", "--lambda", "2"),
+                 ("membership", "--name", "geometric", "--lambda", "2")):
+        proc = run_cli(*argv, check=False)
+        assert proc.returncode == 2
+        assert "Fraction(" not in proc.stderr
+        messages.add(proc.stderr)
+    assert messages == {"error: lambda must lie in (0, 1], got 2\n"}
+    for argv in (("bounds", "--kind", "alpha", "--alpha", "0"),
+                 ("membership", "--name", "geometric", "--kind", "arg",
+                  "--alpha", "0")):
+        proc = run_cli(*argv, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: alpha must lie in (0, 1], got 0\n"
+
+
 def test_invert_unit_coefficients():
     out = run_cli("invert", "--m", "1", "--coeffs", "1,1,1",
                   "--no-timestamp").stdout.splitlines()

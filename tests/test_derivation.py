@@ -173,7 +173,8 @@ def test_single_atom_pair_attains_linear_ceiling(kind, param, lam, m):
     sol = solve(p, q, m, param, lam)
     ceiling = 4 * lam * t / (m * (1 + lam))
     assert sol.a_m1 == QComplex(ceiling)
-    assert float(ceiling) == structural_ceiling(m, param, lam, kind)
+    assert float(ceiling) == structural_ceiling(
+        ClassSpec.from_kind(kind, m, param, lam))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -212,14 +213,14 @@ def test_bound_consistency_reports_realizability():
     (ClassSpec("re", m=3, lam=F(1, 3), beta=F(1, 4)), F(3, 4)),
 ])
 def test_class_constants_and_rhs_inverse(spec, t):
-    c = class_constants(spec, exact=True)
+    c = class_constants(spec, "exact")
     m, lam = spec.m, spec.lam
     assert c.k1 == m * (1 + lam) / (2 * lam)
     assert c.k2 == m * m * (1 - lam) / (4 * lam * lam)
     assert c.t == t
     x_m, x_2m = QComplex(F(1, 3), F(-1, 2)), QComplex(F(2, 7), F(1, 9))
     assert c.rhs_inverse(c.rhs(x_m, x_2m), x_m) == x_2m
-    floats = class_constants(spec, exact=False)
+    floats = class_constants(spec, "float")
     assert isinstance(floats.k1, float) and floats.k1 == float(c.k1)
 
 
@@ -233,7 +234,7 @@ def test_solve_moments_runs_on_arrays(spec):
     moments = np.array([[p.coefficient(1), p.coefficient(2),
                          q.coefficient(1), q.coefficient(2)]
                         for p, q in pairs]).T
-    batch = solve_moments(*moments, class_constants(spec, exact=False))
+    batch = solve_moments(*moments, class_constants(spec, "float"))
     for i, (p, q) in enumerate(pairs):
         one = solve_alpha(p, q, spec.m, spec.alpha, spec.lam) \
             if spec.kind == "arg" else solve_beta(p, q, spec.m, spec.beta,
@@ -252,7 +253,7 @@ def test_solve_moments_on_a_batch_is_bit_identical(spec):
     pairs = [constrained_pair(f"batch/{i}", spec.m, 3) for i in range(50)]
     moments = [[p.coefficient(1), p.coefficient(2), q.coefficient(1),
                 q.coefficient(2)] for p, q in pairs]
-    constants = class_constants(spec, exact=False)
+    constants = class_constants(spec, "float")
     batch = solve_moments(*(ComplexBatch(np.array([z.real for z in column]),
                                          np.array([z.imag for z in column]))
                             for column in zip(*moments)), constants)
@@ -283,4 +284,4 @@ def test_solve_batch_flags_a_nan_set(part):
     assert list(np.flatnonzero(_float_faults(p_atoms))) == [4]
     assert not np.any(_float_faults(q_atoms))
     with pytest.raises(ValueError, match="nonnegative|unimodular"):
-        _solve_batch(p_atoms, q_atoms, class_constants(spec, exact=False))
+        _solve_batch(p_atoms, q_atoms, class_constants(spec, "float"))

@@ -116,7 +116,7 @@ def reference_sweep_cell(kind, m, param, lam, samples, seed, atom_count=3,
         max_a_m1=best["f1"], max_a_2m1=best["f2"],
         max_a_m1_unfiltered=best["u1"], max_a_2m1_unfiltered=best["u2"],
         bound_a_m1=b1, bound_a_2m1=b2,
-        ceiling=structural_ceiling(m, param, lam, kind),
+        ceiling=structural_ceiling(spec),
         argmax_seed=best["fseed"], argmax_seed_unfiltered=best["useed"],
         threshold=threshold)
 
