@@ -67,6 +67,7 @@ class CaratheodoryFunction:
             backend = EXACT if all(
                 isinstance(w, (int, Fraction)) and isinstance(z, QComplex)
                 for (w, z) in atoms) else FLOAT
+        scalar_types(backend)  # refuses an unknown backend word
         if backend == EXACT:
             # a Fraction weight is kept as it is: Fraction(w) would rebuild it
             atoms = tuple((w if type(w) is Fraction else Fraction(w), z)

@@ -275,8 +275,7 @@ class ForwardReport:
         return max(abs(complex(v)) for _, v in all_rows)
 
 
-def forward_verify(solution: CoefficientSolution, p, q,
-                   a_2m1_override=None) -> ForwardReport:
+def forward_verify(solution: CoefficientSolution, p, q) -> ForwardReport:
     """Expand the functional equations and report coefficient residuals.
 
     Builds f = z + a_{m+1} z^{m+1} + a_{2m+1} z^{2m+1} (higher terms zero),
@@ -284,19 +283,14 @@ def forward_verify(solution: CoefficientSolution, p, q,
     target series up to order 2m.  With the solved coefficients the order-m
     residuals vanish identically and the order-2m ones reproduce the
     second_f / second_g residuals (scaled); residuals are data, not errors.
-
-    ``a_2m1_override`` substitutes a different a_{2m+1}, which is handy for
-    demonstrating the linearity of the order-2m relation.
     """
     spec = solution.spec
     m = spec.m
     backend = solution.backend
     c = class_constants(spec, backend)
-    a1 = solution.a_m1
-    a2 = solution.a_2m1 if a_2m1_override is None else a_2m1_override
-    order = 2 * m + 1
-    f = TruncatedSeries.from_dict({1: 1, m + 1: a1, 2 * m + 1: a2},
-                                  order, backend=backend)
+    f = TruncatedSeries.from_dict(
+        {1: 1, m + 1: solution.a_m1, 2 * m + 1: solution.a_2m1},
+        2 * m + 1, backend=backend)
     g = f.revert()
 
     def target(carath):

@@ -259,6 +259,9 @@ def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
     """
     if angles < 1:
         raise ValueError(f"angles must be a positive integer, got {angles!r}")
+    if g_order < 1:
+        raise ValueError(
+            f"g_order must be a positive integer, got {g_order!r}")
     if hasattr(f, "to_series"):
         fn, f = f, f.to_series(order)
         dropped = [k * fn.m + 1 for k in range(1, fn.depth + 1)

@@ -189,6 +189,8 @@ def catalog(name: str, m: int = 1, order=None) -> TruncatedSeries:
     """
     if order is None:
         order = 3 * m + 2
+    if order < 1:
+        raise ValueError("order must be >= 1")
     if name in _BASE_NAMES and m != 1:
         raise ValueError(f"catalog entry {name!r} is defined for m=1; "
                          f"use 'mfold-{name}' for general m")

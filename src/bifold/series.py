@@ -12,9 +12,11 @@ Two coefficient backends are supported:
     Arbitrary-precision rationals (:class:`fractions.Fraction`) and exact
     complex rationals (:class:`QComplex`, a pair of Fractions).  Sums,
     products, quotients, composition, reversion and rational powers stay
-    exact.  Products, reversion and rational powers run on Python ints
-    over one common denominator and form one Fraction per coefficient;
-    a rational power uses Miller's recurrence, whose weights are integers.
+    exact.  Products, reversion, quotients, exp0 and rational powers run
+    on Python ints over one common denominator and form one Fraction per
+    coefficient.  A rational power, exp0 and the reciprocal that a
+    quotient multiplies by share Miller's recurrence, whose weights are
+    integers.
     A QComplex with an int or Fraction operand works on its two parts
     instead of on r + 0i, and it compares with a float or complex exactly.
 
@@ -282,11 +284,13 @@ def scalar_types(backend):
     ``(Fraction, QComplex)`` on the exact backend, ``(float, complex)`` on
     floats: code that needs a backend's constants builds them from these,
     as in ``real(1) / 2`` or ``cplx(0)``, instead of branching on the
-    backend.
+    backend.  Any other backend word is refused.
     """
     if backend == EXACT:
         return Fraction, QComplex
-    return float, complex
+    if backend == FLOAT:
+        return float, complex
+    raise ValueError(f"backend must be 'exact' or 'float', got {backend!r}")
 
 
 def _coerce_scalar(value, backend):
@@ -307,10 +311,8 @@ def _has_negative_zero(value: complex) -> bool:
         (not im and copysign(1.0, im) < 0)
 
 
-# Zero skipping.  The exact kernels below, the division and exp0 form no
-# term with a zero factor, which leaves the zero slots of an m-fold series
-# free.  Exact values do not change (a coefficient may come out as a
-# Fraction where a formed zero QComplex term made it a QComplex).  Float
+# Zero skipping.  The float division and exp0 form no term with a zero
+# factor, which leaves the zero slots of an m-fold series free.  Their
 # bits do not change for finite input: a skipped term is a complex with
 # parts +-0.0, and adding or subtracting +-0.0 leaves every part alone
 # except a -0.0, which -0.0 + (+0.0) and -0.0 - (-0.0) turn into +0.0.
@@ -328,9 +330,9 @@ def _has_negative_zero(value: complex) -> bool:
 
 
 # Exact kernels on integers.  A Fraction operation pays a gcd on every term;
-# the products, the reversion powers and the rational power below write their
-# operands as integer numerators over one common denominator instead, and form
-# one Fraction per output coefficient.
+# the products, the reversion powers and Miller's recurrence below write their
+# operands as integer numerators over one common denominator instead, form
+# one Fraction per output coefficient and skip every zero term.
 
 
 def _to_ints(coeffs, order):
@@ -479,38 +481,33 @@ def _miller_sum(a, b, n, c, d):
     return re, im
 
 
-def _pow_exact(coeffs, exponent):
-    """coeffs^exponent for coeffs[0] = 1 by J. C. P. Miller's recurrence.
+def _miller_exact(coeffs, c_re, c_im, d, q):
+    """b_0 = 1 and n q b_n = sum_{k=1}^n ((c_re + i c_im) k - d n) a_k b_{n-k}.
 
-    For exponent p/q: n q b_n = sum_{k=1}^n ((p + q) k - n q) a_k b_{n-k}
-    (Knuth, TAOCP Vol. 2, 4.7), one pass with integer weights.  The a_k
-    are numerators over their common denominator and b_0 .. b_{n-1} are
-    numerators over C, the lcm of their own denominators, so each b_n
-    costs integer products and one Fraction.  A complex p = p_re + i p_im
-    adds i p_im sum_k k a_k b_{n-k}.  Zero terms are skipped.
+    J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), one pass with
+    integer weights; coeffs[0] does not enter it.  The a_k are numerators
+    over their common denominator and b_0 .. b_{n-1} are numerators over
+    C, the lcm of their own denominators, so each b_n costs integer
+    products and one gcd.  Zero terms are skipped.  Returns the b_n as
+    ``(re, im, C)``, as ``_to_ints`` would.  The weights give
+    - a^(p/q) for a_0 = 1: c = p + q, d = q;
+    - exp(a) for a_0 = 0: c = 1, d = 0, q = 1, from E' = a' E.
     """
     order = len(coeffs) - 1
     a_re, a_im, a_den = _to_ints(coeffs, order)
-    p_re, p_im = exponent.real, exponent.imag
-    q = lcm(p_re.denominator, p_im.denominator)
-    c_re = p_re.numerator * (q // p_re.denominator) + q
-    c_im = p_im.numerator * (q // p_im.denominator)
     complex_out = a_im is not None or c_im != 0
     a = [[(k, x) for k, x in enumerate(part) if k and x] if part else None
          for part in (a_re, a_im)]
     b = [[1], [0] if complex_out else None]  # b_0 .. b_{n-1} over den
     den = 1
-    out = [Fraction(1)]
     for n in range(1, order + 1):
-        re, im = _miller_sum(a, b, n, c_re, n * q)
+        re, im = _miller_sum(a, b, n, c_re, n * d)
         if c_im:
             x_re, x_im = _miller_sum(a, b, n, c_im, 0)
             re, im = re - x_im, im + x_re
         total = n * q * a_den * den
         g = gcd(total, re, im)
         re, im, b_den = re // g, im // g, total // g
-        out.append(QComplex(Fraction(re, b_den), Fraction(im, b_den))
-                   if complex_out else Fraction(re, b_den))
         if den % b_den:
             grow = b_den // gcd(den, b_den)
             b = [part and [x * grow for x in part] for part in b]
@@ -519,7 +516,17 @@ def _pow_exact(coeffs, exponent):
         b[0].append(re * scale)
         if complex_out:
             b[1].append(im * scale)
-    return out
+    return b[0], b[1], den
+
+
+def _pow_exact(coeffs, exponent):
+    """coeffs^exponent for coeffs[0] = 1 and an int, Fraction or QComplex
+    exponent p/q, as integers: Miller's weights c = p + q, d = q over q,
+    the lcm of the denominators of the exponent's parts."""
+    p_re, p_im = exponent.real, exponent.imag
+    q = lcm(p_re.denominator, p_im.denominator)
+    return _miller_exact(coeffs, p_re.numerator * (q // p_re.denominator) + q,
+                         p_im.numerator * (q // p_im.denominator), q, q)
 
 
 def _mul_coeffs_float(a, b, order):
@@ -654,6 +661,7 @@ class TruncatedSeries:
     __slots__ = ("coeffs", "backend")
 
     def __init__(self, coeffs, backend=EXACT):
+        scalar_types(backend)  # refuses an unknown backend word
         if backend == EXACT:
             coeffs = tuple(_coerce_scalar(c, backend) for c in coeffs)
         else:
@@ -737,6 +745,8 @@ class TruncatedSeries:
         return self.order >= 1 and not self.coeffs[0] and self.coeffs[1] == 1
 
     def truncate(self, order):
+        if order < 0:
+            raise ValueError(f"truncation order must be >= 0, got {order}")
         if order > self.order:
             raise ValueError(f"cannot extend a series trusted to order "
                              f"{self.order} out to {order}")
@@ -816,18 +826,13 @@ class TruncatedSeries:
             out = _truediv_float(self.coeffs[: n + 1], other.coeffs[: n + 1])
             return TruncatedSeries(out, backend=FLOAT)
         b0 = other.coeffs[0]
-        out = []
-        nonzero = []  # ascending indices i of the nonzero out[i]
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for i in nonzero:
-                d = other.coeffs[k - i]
-                if d:
-                    acc = acc - out[i] * d
-            out.append(acc / b0)
-            if out[k]:
-                nonzero.append(k)
-        return TruncatedSeries(out, backend=self.backend)
+        if b0 != 1:  # a / b = (a / b0) / (b / b0)
+            return (self / b0) / (other / b0)
+        # a / b = a b^-1 for b0 = 1, the reciprocal by Miller's recurrence
+        a_re, a_im, a_den = _to_ints(self.coeffs, n)
+        r_re, r_im, r_den = _pow_exact(other.coeffs[: n + 1], -1)
+        return TruncatedSeries(_from_ints(
+            *_mul_ints(a_re, a_im, r_re, r_im, n), a_den * r_den))
 
     def __rtruediv__(self, other):
         return TruncatedSeries([other] + [0] * self.order,
@@ -950,21 +955,8 @@ class TruncatedSeries:
             raise ValueError("exp0 needs constant term exactly 0")
         if self.backend == FLOAT:
             return TruncatedSeries(_exp0_float(self.coeffs), backend=FLOAT)
-        zero = _coerce_scalar(0, self.backend)
-        out = [_coerce_scalar(1, self.backend)]
-        # the nonzero k*a_k in ascending k; terms with a zero out[j-k] are
-        # skipped too (see the note on zero skipping above)
-        terms = [(k, k * ak) for k, ak in enumerate(self.coeffs)
-                 if k and ak]
-        for j in range(1, self.order + 1):
-            acc = zero
-            for k, kak in terms:
-                if k > j:
-                    break
-                if out[j - k]:
-                    acc = acc + kak * out[j - k]
-            out.append(acc / j)
-        return TruncatedSeries(out, backend=self.backend)
+        return TruncatedSeries(
+            _from_ints(*_miller_exact(self.coeffs, 1, 0, 0, 1)))
 
     def pow(self, exponent):
         """Raise to a power.
@@ -989,7 +981,8 @@ class TruncatedSeries:
         if exponent == 1:
             return self
         if self.backend == EXACT:
-            return TruncatedSeries(_pow_exact(self.coeffs, exponent))
+            out = _pow_exact(self.coeffs, exponent)
+            return TruncatedSeries(_from_ints(*out))
         return (self.log1() * exponent).exp0()
 
     __pow__ = pow

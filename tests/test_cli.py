@@ -245,6 +245,15 @@ def test_membership_zero_angles_exits_2():
     assert proc.stderr.startswith("error: angles")
 
 
+def test_membership_negative_g_order_exits_2():
+    proc = run_cli("membership", "--name", "geometric", "--kind", "re",
+                   "--beta", "0.4", "--g-order", "-3", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == \
+        "error: g_order must be a positive integer, got -3\n"
+    assert proc.stdout == ""
+
+
 def test_solve_coeffs_zero_weight_atoms_exit_2():
     proc = run_cli("solve-coeffs", "--p-atoms", "0@0", "--q-atoms", "0@180",
                    check=False)

@@ -1,5 +1,6 @@
 """The coefficient-system solver, its residual ledger, and realizable pairs."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -149,7 +150,7 @@ def test_forward_verify_corruption_is_linear():
     p, q = realizable_pair(33, spec)
     sol = solve_beta(p, q, m, spec.beta, lam)
     clean = forward_verify(sol, p, q)
-    dirty = forward_verify(sol, p, q, a_2m1_override=sol.a_2m1 + 1)
+    dirty = forward_verify(replace(sol, a_2m1=sol.a_2m1 + 1), p, q)
     shift = dirty.residual_at("f", 2 * m) - clean.residual_at("f", 2 * m)
     assert shift == F(m) * (1 + lam) / lam
 

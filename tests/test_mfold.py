@@ -198,6 +198,12 @@ def test_catalog_rejects_unknown_and_misused_names():
     assert "geometric" in CATALOG_NAMES
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_refuses_order_zero(name):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        catalog(name, 1, 0)
+
+
 def test_from_series_checks_symmetry():
     s = TruncatedSeries.exact([0, 1, 1, 0, 0])
     with pytest.raises(ValueError):

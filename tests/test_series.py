@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bifold.caratheodory import CaratheodoryFunction
+from bifold.derivation import class_constants
+from bifold.membership import ClassSpec
 from bifold.series import (ComplexBatch, QComplex, TruncatedSeries,
                            _to_ints, geometric_series)
 
@@ -68,6 +71,22 @@ def test_zfprime_over_f_geometric():
 def test_backend_mismatch_raises():
     with pytest.raises(ValueError, match="backend"):
         S([1, 0]) + TruncatedSeries.floating([1, 0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TruncatedSeries([0, 1], backend="exakt"),
+    lambda: CaratheodoryFunction([(1, 1)], backend="exakt"),
+    lambda: class_constants(ClassSpec("re", beta=Fraction(1, 4)), "exakt"),
+], ids=["series", "caratheodory", "class-constants"])
+def test_unknown_backend_word_is_refused(build):
+    with pytest.raises(ValueError, match="^backend must be 'exact' or "
+                       "'float', got 'exakt'$"):
+        build()
+
+
+def test_negative_truncation_order_is_an_error():
+    with pytest.raises(ValueError, match="got -3"):
+        geometric_series(240).truncate(-3)
 
 
 def test_coefficient_beyond_order_is_an_error():
