@@ -97,8 +97,21 @@ def _parse_seed(value):
     return int(text) if text.lstrip("-").isdigit() else text
 
 
+def _parse_int(value, flag) -> int:
+    """An integer from the command line or a config file, else a refusal
+    that names the flag."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{flag} must be an integer, got {value!r}")
+
+
 def _parse_count(value, flag) -> int:
-    count = int(value)
+    count = _parse_int(value, flag)
     if count < 0:
         raise ValueError(f"{flag} must be >= 0, got {count}")
     return count
@@ -179,7 +192,7 @@ def cmd_bounds(args):
     if args.kind != "both":
         _refuse_ignored_param(args, given, args.kind == "alpha")
     kinds = ("alpha", "beta") if args.kind == "both" else (args.kind,)
-    m_values = _parse_list(args.m, int)
+    m_values = _parse_list(args.m, lambda x: _parse_int(x, "--m"))
     lam_values = _parse_list(args.lam, _parse_fraction)
     rows = []
     for kind in kinds:
@@ -209,14 +222,14 @@ def cmd_bounds(args):
 
 def cmd_invert(args):
     args = _apply_config(args, {"m": "1", "order": None})
-    m = int(args.m)
+    m = _parse_int(args.m, "--m")
     coeffs = _parse_list(args.coeffs, _parse_fraction)
     if len(coeffs) < 3:
         coeffs = coeffs + [Fraction(0)] * (3 - len(coeffs))
     fn = MFoldFunction(m, coeffs)
     closed = fn.inverse_closed_form()
     reverted = fn.inverse_by_reversion(
-        None if args.order is None else int(args.order))
+        None if args.order is None else _parse_int(args.order, "--order"))
     rows = []
     for k, (c, r) in enumerate(zip(closed.as_tuple(), reverted.as_tuple()),
                                start=1):
@@ -237,7 +250,7 @@ def cmd_verify_inversion(args):
     samples = _parse_count(args.samples, "--samples")
     rows = []
     failures = 0
-    for m in _parse_list(args.m, int):
+    for m in _parse_list(args.m, lambda x: _parse_int(x, "--m")):
         rng = random.Random(f"verify-inversion/{args.seed}/{m}")
         results = [check_inversion(rng, m) for _ in range(samples)]
         mismatches = sum(not closed_ok for closed_ok, _ in results)
@@ -260,7 +273,7 @@ def cmd_membership(args):
         "beta": None, "lam": "1", "order": 240, "g_order": 32,
         "angles": 720})
     _refuse_ignored_param(args, given, args.kind == "arg")
-    m = int(args.m)
+    m = _parse_int(args.m, "--m")
     lam = _parse_fraction(args.lam)
     if args.kind == "arg":
         spec = ClassSpec("arg", m=m, lam=lam,
@@ -268,7 +281,7 @@ def cmd_membership(args):
     else:
         spec = ClassSpec("re", m=m, lam=lam,
                          beta=_parse_fraction(args.beta or "0"))
-    order = int(args.order)
+    order = _parse_int(args.order, "--order")
     if args.name:
         if args.name not in CATALOG_NAMES:
             raise ValueError(f"unknown catalog name {args.name!r}; "
@@ -278,8 +291,9 @@ def cmd_membership(args):
         f = MFoldFunction(m, _parse_list(args.coeffs, _parse_fraction))
     else:
         raise ValueError("membership needs --name or --coeffs")
-    report = check_membership(f, spec, angles=int(args.angles), order=order,
-                              g_order=int(args.g_order))
+    report = check_membership(
+        f, spec, angles=_parse_int(args.angles, "--angles"), order=order,
+        g_order=_parse_int(args.g_order, "--g-order"))
     rows = []
     for side in (report.f_report, report.g_report):
         rows.append({
@@ -309,7 +323,7 @@ def cmd_solve_coeffs(args):
         "seed": 0, "atoms": 3, "p_atoms": None, "q_atoms": None,
         "realizable": False})
     _refuse_ignored_param(args, given, args.kind == "alpha")
-    m = int(args.m)
+    m = _parse_int(args.m, "--m")
     lam = _parse_fraction(args.lam)
     param = _parse_fraction(args.alpha if args.kind == "alpha" else args.beta)
     spec = ClassSpec.from_kind(args.kind, m, float(param), float(lam))
@@ -325,9 +339,10 @@ def cmd_solve_coeffs(args):
                                  backend="float")
     elif args.realizable:
         p, q = realizable_pair(_parse_seed(args.seed), spec, backend="float",
-                               atom_count=int(args.atoms))
+                               atom_count=_parse_int(args.atoms, "--atoms"))
     else:
-        p, q = constrained_pair(_parse_seed(args.seed), m, int(args.atoms),
+        p, q = constrained_pair(_parse_seed(args.seed), m,
+                                _parse_int(args.atoms, "--atoms"),
                                 backend="float")
     solution = _solve(p, q, spec)
     consistency = bound_consistency(solution)
@@ -357,17 +372,18 @@ def cmd_caratheodory_sample(args):
     args = _apply_config(args, {
         "seed": 0, "atoms": 3, "m": 1, "count": 10, "depth": 4,
         "exact": False})
-    depth = int(args.depth)
+    depth = _parse_int(args.depth, "--depth")
+    atoms, m = _parse_int(args.atoms, "--atoms"), _parse_int(args.m, "--m")
     rows = []
     bad = 0
     for i in range(_parse_count(args.count, "--count")):
         tag = f"{args.seed}/carah/{i}"
-        fn = (sample_exact(tag, int(args.atoms), int(args.m))
-              if args.exact else sample(tag, int(args.atoms), int(args.m)))
+        fn = (sample_exact(tag, atoms, m)
+              if args.exact else sample(tag, atoms, m))
         report = check_lemma1(fn, depth=depth)
         if not report.ok:
             bad += 1
-        row = {"sample": i, "atom_count": int(args.atoms), "m": int(args.m),
+        row = {"sample": i, "atom_count": atoms, "m": m,
                "lemma_ok": report.ok,
                "second_lhs": report.second_lhs,
                "second_rhs": report.second_rhs}
@@ -390,16 +406,17 @@ def cmd_search(args):
     if args.kind != "both":
         _refuse_ignored_param(args, given, args.kind == "alpha")
     kinds = ("alpha", "beta") if args.kind == "both" else (args.kind,)
-    m_values = _parse_list(args.m, int)
+    m_values = _parse_list(args.m, lambda x: _parse_int(x, "--m"))
     lam_values = [float(x) for x in _parse_list(args.lam, _parse_fraction)]
     params = {
         "alpha": [float(x) for x in _parse_list(args.alpha, _parse_fraction)],
         "beta": [float(x) for x in _parse_list(args.beta, _parse_fraction)],
     }
-    records = explore.sweep(kinds, m_values, params, lam_values,
-                            int(args.samples), _parse_seed(args.seed),
-                            atom_count=int(args.atoms),
-                            realizable=int(args.realizable))
+    records = explore.sweep(
+        kinds, m_values, params, lam_values,
+        _parse_int(args.samples, "--samples"), _parse_seed(args.seed),
+        atom_count=_parse_int(args.atoms, "--atoms"),
+        realizable=_parse_int(args.realizable, "--realizable"))
     rows = [{
         "kind": rec.kind, "m": rec.m, "param": rec.param,
         "lambda": rec.lam, "samples": rec.samples,

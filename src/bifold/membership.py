@@ -12,11 +12,14 @@ origin); at lambda = 1 the two summands coincide and Phi is exactly
 z f'/f.
 
 Membership is *sampled*, not certified: the functional is evaluated on a
-polar grid for f and for the truncated reversion g.  Because g only exists
-as a truncated series, its grid radius is capped and every margin is
-weighed against a crude geometric tail estimate of the truncation error;
-margins inside the noise floor yield the verdict "inconclusive" rather
-than pass or fail.
+polar grid for f and for the truncated reversion g, r * exp(2*pi*i*j/A) for
+each radius r in (0, 1) and j < A.  On each circle the truncated series is
+evaluated at once by an inverse FFT of its scaled coefficients
+(``TruncatedSeries.eval_polar``), which rounds no worse than Horner's rule
+at each point.  Because g only exists as a truncated series, its grid
+radius is capped and every margin is weighed against a crude geometric tail
+estimate of the truncation error; margins inside the noise floor yield the
+verdict "inconclusive" rather than pass or fail.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -203,13 +207,13 @@ def _margins(values, spec):
 
 def _scan_side(side, phi_series, ratio_series, spec, radii, angles):
     theta = 2.0 * np.pi * np.arange(angles) / angles
-    # one row per radius: each series is evaluated once over the whole grid
+    # one row per radius, one FFT per row; points only locate the witness
     points = np.array(radii, dtype=float)[:, None] * np.exp(1j * theta)
-    values = phi_series.eval_many(points)
+    values = phi_series.eval_polar(radii, angles)
     margins = _margins(values, spec)
     # at lambda = 1, Phi is the ratio itself (_phi_of_ratio returns it)
     ratio_values = (values if ratio_series is phi_series
-                    else ratio_series.eval_many(points))
+                    else ratio_series.eval_polar(radii, angles))
     flagged = int(np.count_nonzero(ratio_values.real <= 0))
     worst = math.inf
     worst_point = 0j
@@ -257,11 +261,16 @@ def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
     Every margin is compared against the geometric tail estimate; margins
     inside the estimate give "inconclusive".
     """
-    if angles < 1:
-        raise ValueError(f"angles must be a positive integer, got {angles!r}")
-    if g_order < 1:
-        raise ValueError(
-            f"g_order must be a positive integer, got {g_order!r}")
+    given, radii = radii, tuple(radii) if np.iterable(radii) else ()
+    if not radii or not all(isinstance(r, Real) and not isinstance(r, bool)
+                            and 0 < r < 1 for r in radii):
+        raise ValueError("radii must be a nonempty sequence of numbers in "
+                         f"(0, 1), got {given!r}")
+    for name, value in (("angles", angles), ("g_order", g_order)):
+        if not (isinstance(value, Integral) and not isinstance(value, bool)
+                and value >= 1):
+            raise ValueError(
+                f"{name} must be a positive integer, got {value!r}")
     if hasattr(f, "to_series"):
         fn, f = f, f.to_series(order)
         dropped = [k * fn.m + 1 for k in range(1, fn.depth + 1)
@@ -285,7 +294,7 @@ def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
     phi_f = _phi_of_ratio(ratio_f, spec.lam)
     phi_g = _phi_of_ratio(ratio_g, spec.lam)
     g_radii = sorted({min(r, G_SIDE_RADIUS_CAP) for r in radii})
-    f_report = _scan_side("f", phi_f, ratio_f, spec, tuple(radii), angles)
+    f_report = _scan_side("f", phi_f, ratio_f, spec, radii, angles)
     g_report = _scan_side("g", phi_g, ratio_g, spec, tuple(g_radii), angles)
     return MembershipReport(spec=spec, f_report=f_report, g_report=g_report,
                             order=f.order)

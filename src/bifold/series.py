@@ -25,6 +25,7 @@ Two coefficient backends are supported:
     convolution; ``pow(a, r) = exp0(r * log1(a))``.  Division and exp0 run
     as numpy column updates that form each term by CPython's complex
     formulas in the scalar loops' order, so they keep those loops' bits.
+    Values on whole circles come from one inverse FFT per radius.
     Comparisons need explicit tolerances.
 
 Series are immutable after construction and safe to share across threads.
@@ -1016,6 +1017,26 @@ class TruncatedSeries:
             np.multiply(y, x, out=y)
             np.add(y, c, out=y)
         return y
+
+    def eval_polar(self, radii, angles):
+        """Values at r * exp(2*pi*i*j/angles), one row per radius r.
+
+        On one circle the truncated polynomial's values are the
+        unnormalised inverse DFT of c_k r^k (Cooley & Tukey 1965): one FFT
+        per radius instead of Horner's N + 1 steps at every point.  An order
+        at or above ``angles`` is first folded modulo ``angles``, which is
+        exact since the angle factor exp(2*pi*i*j*k/angles) has period
+        ``angles`` in k.  A non-finite coefficient gives non-finite rows
+        without a RuntimeWarning.
+        """
+        c = np.array(list(map(complex, self.coeffs)))
+        r = np.asarray(radii, dtype=float)[:, None]
+        with np.errstate(all="ignore"):
+            scaled = c * r ** np.arange(c.size)
+            if c.size > angles:
+                scaled = np.pad(scaled, ((0, 0), (0, -c.size % angles)))
+                scaled = scaled.reshape(len(r), -1, angles).sum(axis=1)
+            return np.fft.ifft(scaled, n=angles, axis=1, norm="forward")
 
     # ------------------------------------------------------------------
 

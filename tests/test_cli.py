@@ -366,6 +366,30 @@ def test_class_parameter_the_kind_ignores_exits_2(argv, flag, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (("search", "--samples", "1.5"), "--samples", "1.5"),
+    (("bounds", "--m", "1.5"), "--m", "1.5"),
+    (("bounds", "--m", "1,x"), "--m", "x"),
+    (("verify-inversion", "--m", "x"), "--m", "x"),
+    (("caratheodory-sample", "--count", "2.5"), "--count", "2.5"),
+    (("caratheodory-sample", "--atoms", "two"), "--atoms", "two"),
+    (("membership", "--name", "log", "--angles", "7.5"), "--angles", "7.5"),
+    (("membership", "--name", "log", "--g-order", "1e3"), "--g-order",
+     "1e3"),
+    (("invert", "--coeffs", "1/2", "--order", "4.0"), "--order", "4.0"),
+], ids=["search-samples", "bounds-m", "bounds-m-list", "verify-inversion-m",
+        "caratheodory-count", "caratheodory-atoms", "membership-angles",
+        "membership-g-order", "invert-order"])
+def test_integer_flags_fail_in_bifolds_words(argv, flag, value, capsys):
+    from bifold.cli import main
+
+    assert main([*argv, "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {flag} must be an integer, got {value!r}\n"
+    assert "invalid literal" not in err
+    assert out == ""
+
+
 def test_config_may_hold_both_class_parameters(tmp_path, capsys):
     from bifold.cli import main
 

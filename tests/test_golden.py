@@ -9,6 +9,11 @@ acceptance tests too), so they pin the outputs that restructuring must
 keep.  A mismatch is a
 regression to fix in the code; rewriting a file to match new output defeats
 the test.  JSON prints floats at full repr, so equal bytes mean equal bits.
+``membership.json``, ``membership-coeffs.{csv,json}`` and
+``membership-overflow.{csv,json}`` were re-recorded once, when the grid scan
+moved from Horner's rule to one inverse FFT per radius: only worst-margin
+digits and witness coordinates moved, each witness to a point of equal
+margin in exact arithmetic (a conjugate, rotated or reflected image).
 """
 
 import contextlib

@@ -214,12 +214,55 @@ def test_membership_needs_angles():
                          angles=0)
 
 
+@pytest.mark.parametrize("radii", [(), [], (0.0,), (-0.5,), (1.5,), (1,),
+                                   (0.5, math.nan), (math.inf,), (True,),
+                                   ("0.5",), 0.5])
+def test_membership_refuses_radii_that_sample_nothing(radii):
+    # no point, or no point inside the disk, would be sampled: a "pass"
+    # would say nothing about f
+    with pytest.raises(ValueError, match=r"radii must be a nonempty "
+                       r"sequence of numbers in \(0, 1\), got "):
+        check_membership(catalog("geometric", 1, 40),
+                         ClassSpec("re", beta=F(3, 5)), radii=radii,
+                         angles=36)
+
+
+@pytest.mark.parametrize("angles", [7.5, True, -1, "7", 90.0])
+def test_membership_refuses_angles_that_are_not_positive_integers(angles):
+    with pytest.raises(ValueError, match="angles must be a positive integer"):
+        check_membership(catalog("geometric", 1, 40),
+                         ClassSpec("re", beta=F(3, 5)), angles=angles)
+
+
+def test_membership_takes_numpy_and_rational_grid_sizes():
+    spec = ClassSpec("re", beta=F(3, 5))
+    f = catalog("geometric", 1, 40)
+    expected = check_membership(f, spec, radii=(0.5, 0.25), angles=36)
+    got = check_membership(f, spec, radii=(F(1, 2), np.float64(0.25)),
+                           angles=np.int64(36))
+    assert got.f_report.worst_margin == expected.f_report.worst_margin
+    assert got.g_report.worst_margin == expected.g_report.worst_margin
+
+
 # ----------------------------------------------------------------------
 # the one-pass grid scan against the per-radius loop
 
 
-def reference_scan_side(side, phi_series, ratio_series, spec, radii, angles):
-    """The grid scan before it stacked the radii: one pass per radius."""
+def horner_circle(series, r, angles):
+    """The series at the rounded grid points of one circle, by Horner."""
+    theta = 2.0 * np.pi * np.arange(angles) / angles
+    return series.eval_many(r * np.exp(1j * theta))
+
+
+def fft_circle(series, r, angles):
+    """The series on one circle, by the scan's own FFT evaluator."""
+    return series.eval_polar((r,), angles)[0]
+
+
+def reference_scan_side(side, phi_series, ratio_series, spec, radii, angles,
+                        circle=horner_circle):
+    """The grid scan before it stacked the radii: one pass per radius,
+    each circle evaluated by ``circle``."""
     worst = math.inf
     worst_point = 0j
     worst_value = 0j
@@ -229,10 +272,10 @@ def reference_scan_side(side, phi_series, ratio_series, spec, radii, angles):
     for r in radii:
         theta = 2.0 * np.pi * np.arange(angles) / angles
         points = r * np.exp(1j * theta)
-        values = phi_series.eval_many(points)
+        values = circle(phi_series, r, angles)
         margins = membership._margins(values, spec)
         flagged += int(np.count_nonzero(
-            ratio_series.eval_many(points).real <= 0))
+            circle(ratio_series, r, angles).real <= 0))
         tail = tail_estimate(phi_series, r)
         idx = int(np.argmin(margins))
         local = float(margins[idx])
@@ -273,9 +316,9 @@ SCAN_SOURCES = ["geometric", "log", "mfold-log", "mfold-atanh",
 SCAN_RADII = [membership.DEFAULT_RADII, (0.95, 0.3, 0.3, 0.05), (0.5,)]
 
 
-@pytest.mark.parametrize("kind", ["arg", "re"])
-@pytest.mark.parametrize("source", SCAN_SOURCES)
-def test_one_pass_scan_matches_the_per_radius_loop(source, kind):
+def scan_pairs(source, kind, circle):
+    """Each side report of the scan with the per-radius reference's, on a
+    seeded f and spec."""
     rng = random.Random(f"scan/{source}/{kind}")
     m = 1 if source in ("geometric", "log") else rng.choice([2, 3])
     order = rng.randint(40, 60)
@@ -302,11 +345,39 @@ def test_one_pass_scan_matches_the_per_radius_loop(source, kind):
                                     (report.g_report, g_radii)):
                 series = sides[got.side]
                 ratio = series.derivative().shift_up(1) / series
+                phi_series = phi(series, spec.lam)
                 expected = reference_scan_side(
-                    got.side, phi(series, lam), ratio, spec,
-                    tuple(side_radii), angles)
-                assert report_bits(got) == report_bits(expected)
+                    got.side, phi_series, ratio, spec, tuple(side_radii),
+                    angles, circle)
+                yield got, expected, phi_series, spec
 
+
+@pytest.mark.parametrize("kind", ["arg", "re"])
+@pytest.mark.parametrize("source", SCAN_SOURCES)
+def test_one_pass_scan_matches_the_per_radius_loop(source, kind):
+    # Horner at the rounded points is an independent oracle: the FFT may
+    # round a margin differently, and pick a different point of a
+    # symmetric tie as the witness, but never change a verdict.  A margin
+    # is a difference of O(1) terms (alpha*pi/2 - |arg|, Re - beta), so
+    # near zero its rounding is absolute, not relative.
+    close = dict(rel_tol=1e-13, abs_tol=1e-13)
+    for got, expected, phi_series, spec in scan_pairs(source, kind,
+                                                      horner_circle):
+        assert (got.verdict, got.tail, got.radii,
+                got.nonpositive_ratio_points) == \
+            (expected.verdict, expected.tail, expected.radii,
+             expected.nonpositive_ratio_points)
+        assert math.isclose(got.worst_margin, expected.worst_margin, **close)
+        at_witness = membership._margins(
+            phi_series.eval_many(np.array([got.witness])), spec)[0]
+        assert math.isclose(at_witness, expected.worst_margin, **close)
+
+
+@pytest.mark.parametrize("kind", ["arg", "re"])
+@pytest.mark.parametrize("source", SCAN_SOURCES)
+def test_one_pass_scan_keeps_the_bits_of_a_per_radius_fft(source, kind):
+    for got, expected, _, _ in scan_pairs(source, kind, fft_circle):
+        assert report_bits(got) == report_bits(expected)
 
 
 LAMBDA_ONE_CASES = [("geometric", 1), ("log", 1), ("mfold-log", 2),
@@ -326,10 +397,10 @@ def test_lambda_one_scan_evaluates_each_side_once(source, m, kind,
     else:
         spec = ClassSpec("re", m=m, lam=F(1), beta=F(1, 4))
     calls = []
-    eval_many = TruncatedSeries.eval_many
-    monkeypatch.setattr(TruncatedSeries, "eval_many",
-                        lambda self, points: calls.append(1) or
-                        eval_many(self, points))
+    eval_polar = TruncatedSeries.eval_polar
+    monkeypatch.setattr(TruncatedSeries, "eval_polar",
+                        lambda self, radii, angles: calls.append(1) or
+                        eval_polar(self, radii, angles))
     report = check_membership(f, spec, angles=90)
     assert len(calls) == 2  # Phi is the ratio: one grid evaluation a side
     monkeypatch.undo()
@@ -343,5 +414,5 @@ def test_lambda_one_scan_evaluates_each_side_once(source, m, kind,
         ratio = membership._log_derivative(series)
         # the reference evaluates the ratio again for the flagged count
         expected = reference_scan_side(got.side, ratio, ratio, spec,
-                                       tuple(radii), 90)
+                                       tuple(radii), 90, fft_circle)
         assert report_bits(got) == report_bits(expected)

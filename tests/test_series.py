@@ -3,8 +3,12 @@
 import math
 import operator
 import random
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -826,3 +830,55 @@ def test_eval_many_keeps_the_bits_of_polyval(order):
     assert got.shape == expected.shape
     assert [bits(z) for z in got.ravel()] == \
         [bits(z) for z in expected.ravel()]
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    u = 2.0 ** -53
+    return n * u / (1 - n * u)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "3-fold"])
+@pytest.mark.parametrize("order", [0, 1, 40, 240])
+def test_eval_polar_is_as_accurate_as_horner_promises(order, sparse):
+    # against the exact angle, at 40 digits: the error stays within
+    # Horner's own a-priori bound gamma_{2(N+1)} * sum |c_k| r^k, with and
+    # without the fold modulo the angle count
+    rng = random.Random(f"eval-polar/{order}/{sparse}")
+    coeffs = [complex(rng.uniform(-3, 3),
+                      rng.choice([0.0, rng.uniform(-1, 1)]))
+              if not sparse or k % 3 == 0 else 0j for k in range(order + 1)]
+    exact = [mpmath.mpc(c.real, c.imag) for c in reversed(coeffs)]
+    series = TruncatedSeries.floating(coeffs)
+    radii = (0.1, 0.5, 0.95)
+    for angles in (1, 7, 60, 720):
+        got = series.eval_polar(radii, angles)
+        assert got.shape == (len(radii), angles)
+        for row, r in enumerate(radii):
+            bound = gamma(2 * (order + 1)) * sum(
+                abs(c) * r ** k for k, c in enumerate(coeffs))
+            for j in range(0, angles, 1 if angles <= 60 else 23):
+                with mpmath.workdps(40):
+                    z = mpmath.mpf(r) * mpmath.expjpi(
+                        mpmath.mpf(2 * j) / angles)
+                    value = mpmath.mpc(got[row, j].real, got[row, j].imag)
+                    error = abs(value - mpmath.polyval(exact, z))
+                assert error <= bound
+
+
+@pytest.mark.parametrize("angles", [1, 7, 60])
+@pytest.mark.parametrize("bad", [math.inf, complex(0, math.inf), math.nan])
+def test_eval_polar_gives_nan_rows_without_warning(bad, angles):
+    coeffs = [1.0, 0.5, 0.25] * 20
+    coeffs[37] = bad
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = TruncatedSeries.floating(coeffs).eval_polar((0.1, 0.9), angles)
+    assert caught == []
+    assert got.shape == (2, angles) and np.isnan(got).all()
+
+
+def test_importing_bifold_does_not_load_numpy_fft():
+    # eval_polar reaches np.fft only when called, so the import stays cheap
+    subprocess.run([sys.executable, "-c", "import bifold, sys; "
+                    "assert 'numpy.fft' not in sys.modules"], check=True)
