@@ -287,6 +287,14 @@ def cmd_membership(args):
             raise ValueError(f"unknown catalog name {args.name!r}; "
                              f"choices: {', '.join(CATALOG_NAMES)}")
         f = catalog(args.name, m, order)
+        if not any(f.coeffs[2:]):
+            # a verdict on z would not be about the named function; every
+            # entry has a coefficient past z by z^(2m+1) (atanh's z^3)
+            wider = catalog(args.name, m, 2 * m + 1).coeffs
+            first = next(n for n in range(2, len(wider)) if wider[n])
+            raise ValueError(
+                f"order {order} truncates {args.name} to z itself; "
+                f"membership needs --order >= {first}")
     elif args.coeffs:
         f = MFoldFunction(m, _parse_list(args.coeffs, _parse_fraction))
     else:

@@ -22,11 +22,11 @@ Two coefficient backends are supported:
 
 ``float``
     Machine-precision ``complex`` coefficients with numpy-backed
-    convolution; ``pow(a, r) = exp0(r * log1(a))``.  Division and exp0 run
-    as numpy column updates that form each term by CPython's complex
-    formulas in the scalar loops' order, so they keep those loops' bits.
-    Values on whole circles come from one inverse FFT per radius.
-    Comparisons need explicit tolerances.
+    convolution.  A power, exp0 and the reciprocal that a quotient
+    multiplies by run Miller's recurrence as on the exact backend, one
+    dot product per coefficient, and only on the exponents of an m-fold
+    series that can be nonzero.  Values on whole circles come from one
+    inverse FFT per radius.  Comparisons need explicit tolerances.
 
 Series are immutable after construction and safe to share across threads.
 """
@@ -34,7 +34,7 @@ Series are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import copysign, gcd, hypot, lcm
+from math import gcd, hypot, lcm
 from numbers import Rational
 
 import numpy as np
@@ -305,31 +305,6 @@ def _coerce_scalar(value, backend):
     return complex(value)
 
 
-def _has_negative_zero(value: complex) -> bool:
-    """True when a part of value is -0.0."""
-    re, im = value.real, value.imag
-    return (not re and copysign(1.0, re) < 0) or \
-        (not im and copysign(1.0, im) < 0)
-
-
-# Zero skipping.  The float division and exp0 form no term with a zero
-# factor, which leaves the zero slots of an m-fold series free.  Their
-# bits do not change for finite input: a skipped term is a complex with
-# parts +-0.0, and adding or subtracting +-0.0 leaves every part alone
-# except a -0.0, which -0.0 + (+0.0) and -0.0 - (-0.0) turn into +0.0.
-# - exp0's accumulator starts at +0j, and a sum or difference is -0.0 only
-#   when its first operand is, so it never holds -0.0.
-# - The division's accumulator starts at a numerator coefficient, which may
-#   hold -0.0, and keeps it while only +0.0 parts are subtracted.  So a slot
-#   that starts on a -0.0 part skips no term.  The reference-loop tests in
-#   tests/test_series.py pin this case: sparse series with -0.0 and
-#   complex(0.0, -0.0) coefficients, and one such slot spelled out.
-# A skipped term is not formed at all: with an inf or nan factor, the zero
-# term would be nan.  So the float kernels below let a skipped term enter a
-# vector sum only as +0.0, which x + (+0.0) and x - (+0.0) leave alone for
-# every accumulator that does not hold -0.0.
-
-
 # Exact kernels on integers.  A Fraction operation pays a gcd on every term;
 # the products, the reversion powers and Miller's recurrence below write their
 # operands as integer numerators over one common denominator instead, form
@@ -536,124 +511,32 @@ def _mul_coeffs_float(a, b, order):
     return list(conv)
 
 
-# Float division and exp0 as numpy column updates, bit for bit as the scalar
-# loops.  A term is a product by CPython's own formula, (ar*br - ai*bi,
-# ar*bi + ai*br), on float64 parts: numpy's complex128 multiply may fuse it
-# into FMA instructions and round differently.  The terms of one coefficient
-# are added in the loop's order, one rounding after another; np.sum would
-# add them pairwise.  Quotients stay Python complex divisions.  A numpy call
-# costs as much as a few scalar terms, so each kernel forms the terms that
-# involve the last _BLOCK new coefficients in Python and the older ones a
-# block at a time in numpy.
+def _miller_float(coeffs, c, d, q=1):
+    """b_0 = 1 and n q b_n = sum_{k=1}^n (c k - d n) a_k b_{n-k} on floats.
 
-_BLOCK = 16
-
-
-def _parts(values):
-    """float64 array [real parts; imaginary parts] of complex values."""
-    a = np.array(values, dtype=complex)
-    return np.stack((a.real, a.imag))
-
-
-def _truediv_float(num, den):
-    """num / den for den[0] != 0, both of one length, right-looking.
-
-    out[k] = (num[k] - sum_i out[i] den[k-i]) / den[0] with the terms in
-    ascending i.  A slot's terms from the current block of nonzero
-    quotients are subtracted in Python; when the block holds _BLOCK
-    quotients, their terms are subtracted from every later slot, row after
-    row by np.subtract.reduce (subtraction has no pairwise form), and the
-    block starts anew.  A slot that starts on a -0.0 part forms every term
-    in Python, as the note on zero skipping requires.
+    Miller's recurrence as ``_miller_exact`` runs it, with complex weights
+    and one np.dot per coefficient; coeffs[0] does not enter it.  Each
+    weight c k - d n is formed before its product: split into the two sums
+    c sum k a_k b_{n-k} and d n sum a_k b_{n-k}, it would lose to their
+    cancellation.  With g the gcd of the exponents of the nonzero a_k,
+    b_n = 0 unless g divides n, and the recurrence, homogeneous in k and n,
+    runs on a_{jg} and b_{jg} in j: an m-fold series takes n/m steps.  A
+    non-finite coefficient gives non-finite output without a RuntimeWarning.
     """
-    n = len(num) - 1
-    b0 = den[0]
-    acc = None  # [re; im] of num less the flushed terms, from the first flush
-    out = []
-    rows = []  # ascending indices of the block's nonzero quotients
+    a = np.array(coeffs, dtype=complex)
+    n = a.size - 1
+    g = gcd(*(np.flatnonzero(a[1:]) + 1).tolist()) or n + 1
+    a = a[::g]
+    b = np.zeros(a.size, dtype=complex)
+    b[0] = 1
     with np.errstate(all="ignore"):
-        for k in range(n + 1):
-            if _has_negative_zero(num[k]):
-                a = num[k]
-                for i in range(k):
-                    a = a - out[i] * den[k - i]
-            else:
-                a = num[k] if acc is None else complex(acc[0, k], acc[1, k])
-                for i in rows:
-                    d = den[k - i]
-                    if d:
-                        a = a - out[i] * d
-            q = a / b0
-            out.append(q)
-            if q:
-                rows.append(k)
-            if len(rows) == _BLOCK and k < n:
-                if acc is None:
-                    acc, d_parts = _parts(num), _parts(den)
-                    d_zero = (d_parts[0] == 0) & (d_parts[1] == 0)
-                lag = np.arange(k + 1, n + 1) - np.array(rows)[:, None]
-                dr, di = d_parts[:, lag]
-                qs = np.array([out[i] for i in rows])
-                qr, qi = qs.real[:, None], qs.imag[:, None]
-                terms = np.empty((len(rows) + 1, 2, n - k))
-                terms[0] = acc[:, k + 1:]
-                np.subtract(qr * dr, qi * di, out=terms[1:, 0])
-                np.add(qr * di, qi * dr, out=terms[1:, 1])
-                skip = d_zero[lag]
-                if skip.any():
-                    np.copyto(terms[1:], 0.0, where=skip[:, None])
-                acc[:, k + 1:] = np.subtract.reduce(terms, axis=0)
-                rows = []
-    return out
-
-
-def _exp0_float(coeffs):
-    """exp of a float series with constant term 0, left-looking.
-
-    E_j = (1/j) sum_k k a_k E_{j-k} over the nonzero a_k in ascending k,
-    skipping a zero E_{j-k}.  With g the gcd of the k, E_j = 0 unless g
-    divides j, so only those j are summed.  Of a row's terms, those with
-    E_{j-k} from the row's own block are added in Python from +0j; the rest
-    were formed for the whole block in numpy, and np.add.accumulate adds
-    them to that partial sum one after another.
-    """
-    n = len(coeffs) - 1
-    support = [k for k in range(1, n + 1) if coeffs[k]]
-    g = gcd(*support) or n + 1
-    top = n // g
-    kak = [0j] * (top + 1)  # kak[c] = k a_k at k = c g
-    for k in support:
-        kak[k // g] = k * coeffs[k]
-    if top >= _BLOCK:
-        a = _parts(kak)
-        a_zero = (a[0] == 0) & (a[1] == 0)
-    out = [1 + 0j]  # out[c] = E_{c g}
-    with np.errstate(all="ignore"):
-        for j0 in range(0, top + 1, _BLOCK):
-            rows = range(max(j0, 1), min(j0 + _BLOCK, top + 1))
-            if j0:
-                # terms[r, :, c] for row j0 + r: k = r + c, E index j0 - c
-                ks = np.arange(len(rows))[:, None] + np.arange(1, j0 + 1)
-                ar, ai = a[:, ks]
-                er, ei = _parts(out[j0 - 1::-1])
-                terms = np.empty((len(rows), 2, j0 + 1))
-                np.subtract(ar * er, ai * ei, out=terms[:, 0, 1:])
-                np.add(ar * ei, ai * er, out=terms[:, 1, 1:])
-                skip = a_zero[ks] | ((er == 0) & (ei == 0))
-                if skip.any():
-                    np.copyto(terms[:, :, 1:], 0.0, where=skip[:, None])
-            for j in rows:
-                acc = 0j
-                for k in range(1, j - j0 + 1):
-                    e = out[j - k]
-                    if e and kak[k]:
-                        acc = acc + kak[k] * e
-                if j0:
-                    row = terms[j - j0]
-                    row[:, 0] = acc.real, acc.imag
-                    acc = complex(*np.add.accumulate(row, axis=1)[:, -1])
-                out.append(acc / (j * g))
-    return [out[j // g] if j % g == 0 else 0j / j for j in range(n + 1)]
+        ck = c * np.arange(a.size)
+        for j in range(1, a.size):
+            w = (ck[1:j + 1] - d * j) * a[1:j + 1]
+            b[j] = np.dot(w, b[j - 1::-1]) / (j * q)
+    out = np.zeros(n + 1, dtype=complex)
+    out[::g] = b
+    return list(out)
 
 
 class TruncatedSeries:
@@ -823,10 +706,14 @@ class TruncatedSeries:
                     "numerator truncates before the shared z factor ends")
             return num / other.shift_down(v)
         n = min(self.order, other.order)
-        if self.backend == FLOAT:
-            out = _truediv_float(self.coeffs[: n + 1], other.coeffs[: n + 1])
-            return TruncatedSeries(out, backend=FLOAT)
         b0 = other.coeffs[0]
+        if self.backend == FLOAT:
+            # a / b = a (b / b0)^-1 / b0, with b0 inside Miller's recurrence:
+            # dividing b by b0 first would not give exactly 1 at z^0
+            recip = _miller_float(other.coeffs[: n + 1], 0, 1, b0)
+            with np.errstate(all="ignore"):
+                out = np.convolve(self.coeffs[: n + 1], recip)[: n + 1] / b0
+            return TruncatedSeries(out, backend=FLOAT)
         if b0 != 1:  # a / b = (a / b0) / (b / b0)
             return (self / b0) / (other / b0)
         # a / b = a b^-1 for b0 = 1, the reciprocal by Miller's recurrence
@@ -955,7 +842,8 @@ class TruncatedSeries:
         if self.coeffs[0]:
             raise ValueError("exp0 needs constant term exactly 0")
         if self.backend == FLOAT:
-            return TruncatedSeries(_exp0_float(self.coeffs), backend=FLOAT)
+            return TruncatedSeries(_miller_float(self.coeffs, 1, 0),
+                                   backend=FLOAT)
         return TruncatedSeries(
             _from_ints(*_miller_exact(self.coeffs, 1, 0, 0, 1)))
 
@@ -964,9 +852,8 @@ class TruncatedSeries:
 
         Nonnegative integer exponents work for any series (repeated
         multiplication).  Fractional (or negative) exponents require
-        constant term exactly 1.  The exact backend uses Miller's
-        recurrence, which keeps rational input rational; floats go through
-        exp0(exponent * log1(a)).
+        constant term exactly 1.  Both backends use Miller's recurrence,
+        which on the exact backend keeps rational input rational.
         """
         if isinstance(exponent, int) and exponent >= 0:
             if exponent == 0:
@@ -984,7 +871,8 @@ class TruncatedSeries:
         if self.backend == EXACT:
             out = _pow_exact(self.coeffs, exponent)
             return TruncatedSeries(_from_ints(*out))
-        return (self.log1() * exponent).exp0()
+        return TruncatedSeries(_miller_float(self.coeffs, exponent + 1, 1),
+                               backend=FLOAT)
 
     __pow__ = pow
 

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from bifold.mfold import catalog
+
 
 def run_cli(*argv, check=True):
     proc = subprocess.run([sys.executable, "-m", "bifold", *argv],
@@ -230,6 +232,23 @@ def test_membership_order_that_drops_coefficients_exits_2():
     assert proc.returncode == 2
     assert "order >= 5" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("name, m, first", [
+    ("geometric", 1, 2), ("log", 1, 2), ("atanh", 1, 3),
+    ("mfold-geometric", 2, 3), ("mfold-log", 3, 4), ("mfold-atanh", 3, 7),
+])
+def test_membership_order_that_truncates_a_name_to_z_exits_2(name, m, first):
+    # below ``first`` the truncation is z itself, whose verdict would be
+    # a pass about the identity, not about the named function
+    proc = run_cli("membership", "--name", name, "--m", str(m), "--kind",
+                   "re", "--beta", "0.99", "--order", str(first - 1),
+                   "--no-timestamp", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: order {first - 1} truncates {name} to "
+                           f"z itself; membership needs --order >= {first}\n")
+    assert proc.stdout == ""
+    assert any(catalog(name, m, first).coeffs[2:])
 
 
 def test_membership_identity_at_order_one_passes():

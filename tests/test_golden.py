@@ -14,6 +14,12 @@ the test.  JSON prints floats at full repr, so equal bytes mean equal bits.
 moved from Horner's rule to one inverse FFT per radius: only worst-margin
 digits and witness coordinates moved, each witness to a point of equal
 margin in exact arithmetic (a conjugate, rotated or reflected image).
+``membership.{csv,json}`` and ``membership-coeffs.json`` were re-recorded
+once more, when the float quotient and power moved to Miller's recurrence
+(the float division and exp∘log had kept the old scalar loops' bits): only
+worst-margin and tail-estimate digits moved, and the ``membership`` f
+witness went from z to -conj(z), a point of equal margin, since that Phi is
+even with real coefficients; no verdict changed.
 """
 
 import contextlib

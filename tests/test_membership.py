@@ -62,6 +62,28 @@ def test_phi_requires_normalized():
         phi(TruncatedSeries.exact([1, 1]), 1)
 
 
+CATALOG_CASES = [("geometric", 1), ("log", 1), ("atanh", 1),
+                 ("mfold-geometric", 2), ("mfold-geometric", 3),
+                 ("mfold-log", 2), ("mfold-log", 3),
+                 ("mfold-atanh", 2), ("mfold-atanh", 3)]
+
+
+@pytest.mark.parametrize("lam", [F(1, 3), F(1, 2), F(1)])
+@pytest.mark.parametrize("name, m", CATALOG_CASES)
+def test_float_phi_is_close_to_exact_phi_at_order_240(name, m, lam):
+    # sum_k |float c_k - exact c_k| r^k bounds what the float coefficients
+    # add to the error of every value of Phi on the circle of radius r;
+    # the worst case measured over these entries is 2.5 u sum_k |c_k| r^k
+    f = catalog(name, m, 240)
+    exact = [complex(c) for c in phi(f, lam)]
+    got = [complex(c) for c in phi(f.to_float(), lam)]
+    for r in (0.5, 0.95):
+        error = sum(abs(x - y) * r ** k
+                    for k, (x, y) in enumerate(zip(got, exact)))
+        scale = sum(abs(y) * r ** k for k, y in enumerate(exact))
+        assert error <= 6 * 2.0 ** -53 * scale
+
+
 # ----------------------------------------------------------------------
 # margins
 
@@ -151,6 +173,19 @@ def test_low_order_yields_inconclusive_not_pass():
     assert 0 < side.worst_margin < side.tail
     assert side.verdict == "inconclusive"
     assert report.verdict == "inconclusive"
+
+
+def test_rounding_noise_in_phi_does_not_hide_a_fail():
+    # the last coefficients of the float Phi are rounding noise around an
+    # exact tail of 1e-48 to 1e-50; noise alternating between about 1e-20
+    # and 1e-53 once made the tail estimate inf and this f side
+    # inconclusive, though its worst margin is -0.452
+    f = MFoldFunction(1, (F(1, 8), F(-1, 7), F(1, 14))).to_series(227)
+    spec = ClassSpec("re", m=1, lam=F(1, 3), beta=F(11, 20))
+    side = check_membership(f, spec).f_report
+    assert side.verdict == "fail"
+    assert math.isfinite(side.tail)
+    assert side.worst_margin == pytest.approx(-0.452, abs=1e-3)
 
 
 def test_mfold_symmetry_enforced():
