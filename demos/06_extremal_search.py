@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """How close does sampled data get to the coefficient bounds?
 
-Seeded sweeps solve the coefficient system for thousands of constrained
-pairs per parameter cell.  Samples that satisfy the full (overdetermined)
-system -- the realizability filter -- must respect the class bounds; for
-everything else only the coarser linear ceiling 4*lambda*t/(m(1+lambda))
-applies.  The achieved/bound ratios quantify how much slack the sampled
-data leaves.  Two exact constructions then reach the two caps: the
+Seeded sweeps draw thousands of moment sets (p_m, p_2m, q_m, q_2m) per
+parameter cell from the Caratheodory coefficient body, with q_m = -p_m,
+and solve the coefficient system for each.  Where the q_2m that the
+addition relation forces lies in the body, the draw satisfies the full
+(overdetermined) system: it passes the realizability filter and must
+respect the class bounds.  For every other draw only the coarser linear
+ceiling 4*lambda*t/(m(1+lambda)) applies.  The achieved/bound ratios
+quantify how much slack the sampled data leaves.  Two exact constructions then reach the two caps: the
 single-atom pair p = delta(1), q = delta(-1) attains the linear ceiling,
 and at alpha = 1, lambda = 1/2 a two-atom pair attains the arg-type bound
 B1 with every equation of the coefficient system holding exactly.  Both

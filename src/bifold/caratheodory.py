@@ -23,16 +23,13 @@ so that every expansion coefficient is an exact QComplex.
 from __future__ import annotations
 
 import cmath
-import math
 import random
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import starmap
 
 from . import bounds as bounds_mod
-from .series import (EXACT, FLOAT, ComplexBatch, QComplex, TruncatedSeries,
-                     _to_ints, scalar_types)
+from .series import (EXACT, FLOAT, QComplex, TruncatedSeries, _to_ints,
+                     scalar_types)
 
 __all__ = [
     "CaratheodoryFunction",
@@ -139,9 +136,6 @@ def _moment(atoms, k, cplx):
 
     Exact atoms (cplx = QComplex) go through ``_moment_exact``.  On floats
     zeta^k is an iterated product, which keeps sign symmetries bit-exact.
-    Written with plain operators, so on floats (cplx = complex) it also runs
-    on a batch of atom sets: weight arrays and ComplexBatch points, one
-    entry per set.
     """
     if cplx is QComplex:
         return _moment_exact(atoms, k)
@@ -176,42 +170,20 @@ def _moment_exact(atoms, k):
     return QComplex(Fraction(2 * re, den), Fraction(2 * im, den))
 
 
-# The float atom checks, written with plain operators so that they run
-# unchanged on one atom set (float weights, complex points) and on a batch
-# of them (weight arrays, ComplexBatch points, one entry per set).  A NaN,
-# which no ordered comparison holds for, fails each check.
-
-
-def _nan(x):
-    return x != x
+# The float atom checks.  A NaN, which no ordered comparison holds for,
+# fails each one.
 
 
 def _negative(w):
-    return (w < -1e-15) | _nan(w)
+    return not w >= -1e-15
 
 
 def _off_circle(z):
-    gap = abs(abs(z) - 1.0)
-    return (gap > 1e-12) | _nan(gap)
+    return not abs(abs(z) - 1.0) <= 1e-12
 
 
 def _off_simplex(weights):
-    gap = abs(sum(weights) - 1.0)
-    return (gap > 1e-12) | _nan(gap)
-
-
-def _float_faults(atoms):
-    """Where float atoms fail a check of ``CaratheodoryFunction``.
-
-    On a batch, one flag per set.  The constructor stays the home of the
-    error messages: rebuild a flagged set to raise its error.
-    """
-    bad = False
-    for w, z in atoms:
-        bad = bad | _negative(w) | _off_circle(z)
-    if atoms:
-        bad = bad | _off_simplex(w for w, _ in atoms)
-    return bad
+    return not abs(sum(weights) - 1.0) <= 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -328,62 +300,6 @@ def _pair_atoms(seed, m, atom_count, backend):
         p_atoms.append((w, zeta))
         q_atoms.append((w, -zeta))
     return p_atoms, q_atoms
-
-
-def _pair_atoms_block(tags, m, atom_count):
-    """``_pair_atoms(tag, m, atom_count, FLOAT)`` for every tag, bit for bit.
-
-    Each tag still seeds its own stream, but one loop draws all the tags'
-    uniforms, in the recipe's order, and each transform then runs on one
-    variate across all the tags: exponentials as -log(1 - u)
-    (``expovariate(1.0)``) and points as (cos x, sin x) with x = 2*pi*u
-    (``cmath.exp(2j*cmath.pi*u)``).  They use ``math`` and the builtin
-    ``sum``, as the scalar recipe does, never numpy's own log, cos, sin or
-    sum, which do not promise the same bits; numpy does only the correctly
-    rounded elementwise steps.  Returns (p_atoms, q_atoms) by atom
-    position: a weight array and ComplexBatch points, one entry per tag.
-    Positions may share their arrays.
-    """
-    import numpy as np
-
-    tails = max(1, atom_count // 2)
-    sizes = (atom_count, tails, tails)  # core, p tail, q tail
-    width = 2 * sum(sizes)  # uniforms per tag
-    no_args = ((),) * width
-    rng = random.Random()
-    shares, flat = [], array("d")  # raw doubles, no float objects
-    for tag in tags:
-        # _subseed(tag, m, FLOAT, "pair"), spelled out: reseeding one
-        # generator gives the state a new random.Random(str) starts in
-        rng.seed(f"{tag!r}/{m}/{FLOAT}/pair")
-        shares.append(rng.randint(1, 3))
-        flat.extend(starmap(rng.random, no_args))  # width rng.random()s
-    # one row per variate, one column per tag
-    uniforms = np.frombuffer(flat).reshape(len(tags), width).T
-    s = np.array(shares, dtype=float) / 4  # tail weight share
-
-    def column(fn, rows):
-        values = map(fn, rows.ravel().tolist())
-        return np.fromiter(values, float, rows.size).reshape(rows.shape)
-
-    groups, row = [], 0
-    for count, scale in zip(sizes, (1 - s, s / 2, s / 2)):
-        raw = -column(math.log, 1.0 - uniforms[row:row + count])
-        total = np.fromiter(map(sum, raw.T.tolist()), float, len(tags))
-        x = (2 * math.pi) * uniforms[row + count:row + 2 * count]
-        groups.append(list(zip(scale * raw / total, column(math.cos, x),
-                               column(math.sin, x))))
-        row += 2 * count
-    core, p_tail, q_tail = groups
-
-    def paired(tail):
-        return [atom for w, c, sn in tail
-                for atom in ((w, ComplexBatch(c, sn)),
-                             (w, ComplexBatch(-c, -sn)))]
-
-    return (paired(p_tail) + [(w, ComplexBatch(c, sn)) for w, c, sn in core],
-            paired(q_tail) + [(w, ComplexBatch(-c, -sn))
-                              for w, c, sn in core])
 
 
 def constrained_pair(seed, m, atom_count=3, backend=FLOAT):

@@ -550,10 +550,16 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="columns: kind, m, param, lambda, samples, filtered_count, "
                "max_a_m1, max_a_2m1, max_a_m1_unfiltered, "
                "max_a_2m1_unfiltered, bound_a_m1, bound_a_2m1, ratio_a_m1, "
-               "ratio_a_2m1, ceiling, ceiling_ok, argmax_seed; ceiling is "
-               "the closed-form linear cap 4*lambda*t/(m*(1+lambda)) on "
-               "|a_{m+1}| (t = alpha or 1-beta), and a single atom attains "
-               "it")
+               "ratio_a_2m1, ceiling, ceiling_ok, argmax_seed; each cell "
+               "draws its samples from the Caratheodory coefficient body: "
+               "p_m and p_2m uniformly, q_m = -p_m, and q_2m as the "
+               "addition relation forces it where that value lies in the "
+               "body, else uniformly; the filtered columns keep the samples "
+               "whose addition residual is negligible, the unfiltered ones "
+               "run over every sample; --atoms shapes only the "
+               "--realizable atom pairs; ceiling is the closed-form linear "
+               "cap 4*lambda*t/(m*(1+lambda)) on |a_{m+1}| (t = alpha or "
+               "1-beta), and a single atom attains it")
     p.add_argument("--kind", choices=("alpha", "beta", "both"), default=None)
     p.add_argument("--m", default=None)
     p.add_argument("--alpha", default=None)

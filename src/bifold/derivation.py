@@ -31,14 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .bounds import RATIO_SLACK
 from .caratheodory import (CaratheodoryFunction, with_moments,
-                           zero_moment_base, _float_faults, _moment, _sample,
-                           _subseed)
+                           zero_moment_base, _sample, _subseed)
 from .membership import ClassSpec, phi
-from .series import EXACT, FLOAT, TruncatedSeries, scalar_types
+from .series import EXACT, TruncatedSeries, scalar_types
 
 __all__ = [
     "CoefficientSolution",
@@ -126,6 +123,13 @@ class ClassConstants(NamedTuple):
             return r / self.t
         return (r - self.square * x_m * x_m) / self.t
 
+    def forced_q_2m(self, p_m, p_2m):
+        """The q_2m that, with q_m = -p_m, zeroes the addition residual."""
+        a1 = self.first_coefficient(p_m)
+        rhs_g = ((2 * self.spec.m * self.k1 + 2 * self.k2) * (a1 * a1)
+                 - self.rhs(p_m, p_2m))
+        return self.rhs_inverse(rhs_g, -p_m)
+
 
 def class_constants(spec: ClassSpec, backend: str) -> ClassConstants:
     """K1, K2, t and the right-hand-side weights of ``spec``.
@@ -192,12 +196,6 @@ def solve_moments(p_m, p_2m, q_m, q_2m,
 _GAP_TOL = 1e-12  # float moment constraint: |p_m + q_m| <= tol max(1, |p_m|)
 
 
-def _gap_too_large(p_m, q_m):
-    """The float moment-constraint check; on a batch, one flag per pair."""
-    gap = abs(p_m + q_m)
-    return (gap > _GAP_TOL) & (gap > _GAP_TOL * abs(p_m))
-
-
 def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
            spec: ClassSpec) -> CoefficientSolution:
     if p.backend != q.backend:
@@ -208,36 +206,13 @@ def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
     p_m, p_2m = p.coefficient(1), p.coefficient(2)
     q_m, q_2m = q.coefficient(1), q.coefficient(2)
 
+    gap = p_m + q_m
     if p.backend == EXACT:
-        gap = p_m + q_m
         if gap != 0:
             raise ValueError(f"moment constraint violated: p_m + q_m = {gap!r}")
-    elif _gap_too_large(p_m, q_m):
+    elif abs(gap) > _GAP_TOL and abs(gap) > _GAP_TOL * abs(p_m):
         raise ValueError(
-            f"moment constraint violated: |p_m + q_m| = {abs(p_m + q_m)}")
-    return solve_moments(p_m, p_2m, q_m, q_2m, constants)
-
-
-def _solve_batch(p_atoms, q_atoms, constants) -> CoefficientSolution:
-    """``_solve`` for a batch of float pairs, bit for bit.
-
-    ``p_atoms`` and ``q_atoms`` hold the pairs' atoms by position: per
-    atom, a float64 weight array and ComplexBatch points with one entry per
-    pair.  The checks, the moments and ``solve_moments`` run on the whole
-    batch; the solution holds ComplexBatch values.  A pair that fails a
-    check is rebuilt and solved alone, so the first one raises the error
-    ``CaratheodoryFunction`` or ``_solve`` raises for it.
-    """
-    spec = constants.spec
-    p_m, p_2m = _moment(p_atoms, 1, complex), _moment(p_atoms, 2, complex)
-    q_m, q_2m = _moment(q_atoms, 1, complex), _moment(q_atoms, 2, complex)
-    bad = (_float_faults(p_atoms) | _float_faults(q_atoms)
-           | _gap_too_large(p_m, q_m))
-    for i in np.flatnonzero(bad):
-        p, q = (CaratheodoryFunction(
-            [(w[i], complex(z.re[i], z.im[i])) for w, z in atoms],
-            fold=spec.m, backend=FLOAT) for atoms in (p_atoms, q_atoms))
-        _solve(p, q, spec)
+            f"moment constraint violated: |p_m + q_m| = {abs(gap)}")
     return solve_moments(p_m, p_2m, q_m, q_2m, constants)
 
 
@@ -385,11 +360,8 @@ def realizable_pair(seed, spec: ClassSpec, backend=EXACT, atom_count=3):
         atoms = [(w * eps, z) for (w, z) in raw.atoms]
         atoms += [(w * (1 - eps), z) for (w, z) in base.atoms]
         p = CaratheodoryFunction(atoms, fold=m, backend=backend)
-        p_m, p_2m = p.coefficient(1), p.coefficient(2)
-        a1 = c.first_coefficient(p_m)
-        # the q_2m whose g-side relation zeroes the addition residual
-        rhs_g = (2 * m * c.k1 + 2 * c.k2) * (a1 * a1) - c.rhs(p_m, p_2m)
-        q_2m = c.rhs_inverse(rhs_g, -p_m)
+        p_m = p.coefficient(1)
+        q_2m = c.forced_q_2m(p_m, p.coefficient(2))
         try:
             q = with_moments(-p_m / 2, q_2m / 2, fold=m, backend=backend)
             return p, q

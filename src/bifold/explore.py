@@ -1,47 +1,56 @@
-"""Ensemble sweeps over sampled pair data.
+"""Ensemble sweeps over the Caratheodory coefficient body.
 
-Each cell of a parameter grid (kind, m, alpha-or-beta, lambda) draws seeded
-constrained pairs, solves the coefficient system and tracks the largest
-observed |a_{m+1}| and |a_{2m+1}|.  Samples whose realizability score is
-below the threshold count toward the filtered maxima, which are the ones
-the class bounds actually apply to; the unfiltered maxima are reported next
-to them so the filtering choice hides nothing.  Random pairs almost never
-land on the realizability manifold, so cells can optionally mix in
-constructed realizable pairs to keep the filtered statistics populated.
+The coefficient system reads a pair (p, q) only through four moments,
+p_m, p_2m, q_m and q_2m.  Each cell of a parameter grid (kind, m,
+alpha-or-beta, lambda) draws them from the Caratheodory-Toeplitz body
 
-A cell's constrained samples run in blocks, bit for bit as a loop of
-``constrained_pair`` -> ``_solve`` would.  Each sample is still seeded
-alone (the same tags, the same ``random.Random`` call order), but a block
-is drawn in one pass over its tags, with the recipe's transforms applied
-per column (``caratheodory._pair_atoms_block``).  The block's checks,
-moments and ``solve_moments`` then run on ``series.ComplexBatch`` arrays,
-which round exactly as Python's ``complex`` does.  Every maximum and
-every ``argmax_seed`` therefore equals the one-pair-at-a-time result, and
-``constrained_pair(argmax_seed, ...)`` (or ``realizable_pair`` for a
-realizable tag) replays it exactly.
+    |p_m| <= 2,    |p_2m - p_m^2/2| <= 2 - |p_m|^2/2
+
+(Libera-Zlotkiewicz): p_m uniform by area on |p_m| <= 2, then
+p_2m = p_m^2/2 + (2 - |p_m|^2/2) x with x uniform on the unit disk, and
+q_m = -p_m.  q_2m is the value the addition relation forces
+(``ClassConstants.forced_q_2m``) wherever that value lies in the body, and
+else q_m^2/2 + (2 - |p_m|^2/2) y with y uniform on the unit disk.  So every
+sample is a genuine constrained pair of Caratheodory moments.  The sweep
+solves them and tracks the largest observed |a_{m+1}| and |a_{2m+1}|.
+
+Samples whose realizability score (the addition residual) is at most the
+threshold count toward the filtered maxima, which are the ones the class
+bounds apply to: the body draws whose forced q_2m was kept.  The unfiltered
+maxima run over every draw, so |a_{m+1}| there reaches toward the linear
+ceiling and |a_{2m+1}| stays under B2, which needs no filter.  A cell can
+also mix in constructed realizable atom pairs (``realizable_pair``, shaped
+by ``atom_count``), which are solved one by one.
+
+Draws come in blocks of ``_BLOCK``.  Block b reads its uniforms from one
+stream seeded with ``f"{prefix}/{b}"``, six per draw, and is solved with
+one ``solve_moments`` call on complex128 arrays.  A sample's
+``argmax_seed`` is ``f"{prefix}/{i}"``; ``replay_draw`` rebuilds the
+moments of draw i from its whole block, so they carry the block's bits.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .bounds import RATIO_SLACK, structural_ceiling
-from .caratheodory import _pair_atoms_block, _subseed
-from .derivation import (class_constants, realizable_pair, _solve,
-                         _solve_batch)
-from .membership import ClassSpec
+from .caratheodory import _subseed
+from .derivation import (class_constants, realizable_pair, solve_moments,
+                         _solve)
+from .membership import ClassSpec, _is_integer
 
-__all__ = ["SearchRecord", "sweep_cell", "sweep",
+__all__ = ["SearchRecord", "sweep_cell", "sweep", "replay_draw",
            "DEFAULT_REALIZABILITY_THRESHOLD"]
 
 DEFAULT_REALIZABILITY_THRESHOLD = 1e-8
-# Constrained samples are drawn, checked and solved this many at a time, so
-# memory stays flat however many samples a cell takes.  Seeding each
-# sample's stream is the largest cost left, and it is paid per sample
-# whatever the block size, so larger blocks save little time, and they
-# raised peak memory measurably (heap fragmentation from block-sized arrays).
+# Draws are generated and solved this many at a time, so memory stays flat
+# however many samples a cell takes; it also fixes which block, and so
+# which seeded stream, a draw index belongs to.
 _BLOCK = 256
 
 
@@ -89,20 +98,93 @@ class SearchRecord:
                 and self.ceiling_ok)
 
 
+def _unit_disk(radius, angle):
+    """Points uniform by area on the unit disk from two uniforms each."""
+    return np.sqrt(radius) * np.exp(2j * np.pi * angle)
+
+
+def _draw_block(prefix, block, count, constants):
+    """(p_m, p_2m, q_m, q_2m) of draws ``block * _BLOCK`` onward, as
+    complex128 arrays of length ``count``.
+
+    The block's stream gives six 53-bit uniforms per draw: the polar
+    parts of p_m / 2, x and y.
+    """
+    raw = random.Random(f"{prefix}/{block}").randbytes(48 * count)
+    u = (np.frombuffer(raw, dtype="<u8") >> 11) * 2.0 ** -53
+    u = u.reshape(count, 6).T
+    p_m = 2 * _unit_disk(u[0], u[1])
+    radius = 2 - abs(p_m) ** 2 / 2  # of the disk p_2m and q_2m lie in
+    p_2m = p_m * p_m / 2 + radius * _unit_disk(u[2], u[3])
+    q_m = -p_m
+    centre = q_m * q_m / 2
+    forced = constants.forced_q_2m(p_m, p_2m)
+    q_2m = np.where(abs(forced - centre) <= radius, forced,
+                    centre + radius * _unit_disk(u[4], u[5]))
+    return p_m, p_2m, q_m, q_2m
+
+
+class _BlockTags:
+    """The tags ``f"{prefix}/{i}"`` of one block's draws, formed only for
+    the draws that ``record`` keeps as an argmax."""
+
+    def __init__(self, prefix, start):
+        self.prefix, self.start = prefix, start
+
+    def __getitem__(self, offset):
+        return f"{self.prefix}/{self.start + offset}"
+
+
+def replay_draw(tag, spec: ClassSpec, samples):
+    """(p_m, p_2m, q_m, q_2m) of the draw tagged ``tag`` (an
+    ``argmax_seed`` of the form ``f"{prefix}/{i}"``) in a sweep cell of
+    ``spec`` with ``samples`` draws.
+
+    The draw's whole block is rebuilt, so the moments carry the bits the
+    sweep solved: ``solve_moments`` on one-element arrays of them gives
+    the sweep's values exactly.
+    """
+    prefix, _, index = tag.rpartition("/")
+    if prefix.endswith("/realizable") or not index.isdecimal():
+        raise ValueError(f"{tag!r} is not the tag of a body draw")
+    i = int(index)
+    if i >= samples:
+        raise ValueError(f"draw {i} is not among {samples} samples")
+    block, offset = divmod(i, _BLOCK)
+    count = min(_BLOCK, samples - block * _BLOCK)
+    moments = _draw_block(prefix, block, count,
+                          class_constants(spec, "float"))
+    return tuple(complex(x[offset]) for x in moments)
+
+
+def _check_counts(samples, realizable, atom_count, threshold):
+    counts = (("samples", samples), ("realizable", realizable),
+              ("atom count", atom_count))
+    for name, value in counts:
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name, value in counts[:2]:
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if atom_count < 1:
+        raise ValueError("atom count must be >= 1")
+    if not (isinstance(threshold, Real) and not isinstance(threshold, bool)
+            and math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(
+            f"threshold must be a finite number >= 0, got {threshold!r}")
+
+
 def sweep_cell(kind, m, param, lam, samples, seed,
                atom_count=3, realizable=0,
                threshold=DEFAULT_REALIZABILITY_THRESHOLD) -> SearchRecord:
-    """Draw ``samples`` constrained pairs for one cell and record maxima.
+    """Draw ``samples`` moment sets from the coefficient body for one cell
+    and record maxima.
 
-    ``realizable`` additional pairs are constructed to satisfy the full
-    system exactly (well, to float solve tolerance) so that the filtered
-    statistics are not vacuously empty.
+    ``realizable`` additional atom pairs with ``atom_count`` random atoms
+    are constructed to satisfy the full system exactly (well, to float
+    solve tolerance).
     """
-    for name, count in (("samples", samples), ("realizable", realizable)):
-        if count < 0:
-            raise ValueError(f"{name} must be >= 0, got {count}")
-    if atom_count < 1:
-        raise ValueError("atom count must be >= 1")
+    _check_counts(samples, realizable, atom_count, threshold)
     spec = ClassSpec.from_kind(kind, m, param, lam)
     constants = class_constants(spec, "float")
     lam_f = float(lam)
@@ -134,13 +216,13 @@ def sweep_cell(kind, m, param, lam, samples, seed,
             best["f2"] = max(best["f2"], float(np.max(a2[kept])))
 
     prefix = _subseed(seed, kind, m, param_f, lam_f)
-    for start in range(0, samples, _BLOCK):
-        tags = [f"{prefix}/{i}"  # _subseed(seed, kind, m, param_f, lam_f, i)
-                for i in range(start, min(start + _BLOCK, samples))]
-        solution = _solve_batch(*_pair_atoms_block(tags, m, atom_count),
-                                constants)
+    for block, start in enumerate(range(0, samples, _BLOCK)):
+        stop = min(start + _BLOCK, samples)
+        solution = solve_moments(
+            *_draw_block(prefix, block, stop - start, constants), constants)
         record(abs(solution.a_m1), abs(solution.a_2m1),
-               abs(solution.residuals["addition"]), tags)
+               abs(solution.residuals["addition"]),
+               _BlockTags(prefix, start))
     for i in range(realizable):
         tag = _subseed(seed, kind, m, param_f, lam_f, "realizable", i)
         p, q = realizable_pair(tag, spec, backend="float",

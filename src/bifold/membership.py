@@ -243,6 +243,11 @@ def _scan_side(side, phi_series, ratio_series, spec, radii, angles):
                       nonpositive_ratio_points=flagged)
 
 
+def _is_integer(value) -> bool:
+    """An integral count: a bool, though an int, is refused."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
                      angles=DEFAULT_ANGLES, order=None,
                      g_order=32) -> MembershipReport:
@@ -267,8 +272,7 @@ def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
         raise ValueError("radii must be a nonempty sequence of numbers in "
                          f"(0, 1), got {given!r}")
     for name, value in (("angles", angles), ("g_order", g_order)):
-        if not (isinstance(value, Integral) and not isinstance(value, bool)
-                and value >= 1):
+        if not (_is_integer(value) and value >= 1):
             raise ValueError(
                 f"{name} must be a positive integer, got {value!r}")
     if hasattr(f, "to_series"):

@@ -39,8 +39,7 @@ from numbers import Rational
 
 import numpy as np
 
-__all__ = ["QComplex", "ComplexBatch", "TruncatedSeries",
-           "geometric_series"]
+__all__ = ["QComplex", "TruncatedSeries", "geometric_series"]
 
 
 class QComplex:
@@ -192,87 +191,6 @@ class QComplex:
         if not self.im:
             return f"QComplex({self.re!s})"
         return f"QComplex({self.re!s}, {self.im!s})"
-
-
-class ComplexBatch:
-    """A batch of complex floats that rounds exactly as Python's ``complex``.
-
-    Holds float64 arrays of real and imaginary parts and applies CPython's
-    own formulas elementwise, with the mixed-mode rule of CPython up to
-    3.13 (``int``, ``float`` and float-array operands become x+0j first):
-
-    - sums and differences part by part;
-    - products as (ar*br - ai*bi, ar*bi + ai*br);
-    - division by a real in Smith's form, as ``complex.__truediv__`` does;
-    - ``abs`` by ``hypot``.
-
-    So every element equals the scalar result bit for bit, which numpy's
-    complex128 does not promise: it divides by multiplying with a reciprocal.
-    Scalar code written with these operators runs unchanged on a batch.
-    """
-
-    __slots__ = ("re", "im")
-    __array_ufunc__ = None  # ndarray operands defer to the methods below
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    @staticmethod
-    def _parts(value):
-        if isinstance(value, ComplexBatch):
-            return value.re, value.im
-        if isinstance(value, complex):
-            return value.real, value.imag
-        if isinstance(value, (int, float)):
-            return float(value), 0.0
-        if isinstance(value, np.ndarray) and value.dtype.kind == "f":
-            return value, 0.0
-        return None
-
-    def __add__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return ComplexBatch(self.re + o[0], self.im + o[1])
-
-    __radd__ = __add__  # IEEE addition commutes
-
-    def __sub__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return ComplexBatch(self.re - o[0], self.im - o[1])
-
-    def __rsub__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return ComplexBatch(o[0] - self.re, o[1] - self.im)
-
-    def __mul__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        ar, ai = self.re, self.im
-        br, bi = o
-        return ComplexBatch(ar * br - ai * bi, ar * bi + ai * br)
-
-    __rmul__ = __mul__  # the formula is symmetric in its operands
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            return NotImplemented
-        b = float(other)
-        if b == 0.0:
-            raise ZeroDivisionError("complex division by zero")
-        ratio = 0.0 / b  # Smith's form for the divisor b + 0j
-        denom = b + 0.0 * ratio
-        return ComplexBatch((self.re + self.im * ratio) / denom,
-                            (self.im - self.re * ratio) / denom)
-
-    def __abs__(self):
-        return np.hypot(self.re, self.im)
 
 
 EXACT = "exact"

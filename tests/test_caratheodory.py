@@ -1,20 +1,16 @@
 """Herglotz-atom sampling, expansions, and the coefficient inequalities."""
 
-import cmath
-import math
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bifold.caratheodory import (CaratheodoryFunction, _moment, _negative,
-                                 _off_circle, _off_simplex, _pair_atoms,
-                                 _pair_atoms_block, check_lemma1,
+                                 _off_circle, _off_simplex, check_lemma1,
                                  constrained_pair, sample, sample_exact,
                                  solve_linear_exact, unimodular_exact,
                                  with_moments, zero_moment_base)
-from bifold.series import FLOAT, QComplex
+from bifold.series import QComplex
 
 F = Fraction
 ONE = QComplex(1, 0)
@@ -197,53 +193,6 @@ def test_constrained_pair_float_backend_is_bit_exact(m):
         p, q = constrained_pair(f"pair/{m}/{i}", m, 3, backend="float")
         worst = max(worst, abs(p.coefficient(1) + q.coefficient(1)))
     assert worst == 0.0
-
-
-@pytest.mark.parametrize("atom_count", range(1, 7))
-def test_pair_atoms_block_equals_one_tag_at_a_time(atom_count):
-    # float.hex tells -0.0 from 0.0, so every bit and every sign counts
-    def bits(w, z):
-        return float(w).hex(), float(z.real).hex(), float(z.imag).hex()
-
-    for m in (1, 2, 3, 5):
-        for size in (1, 2, 257):
-            for tags in (list(range(size)),
-                         [f"block/{atom_count}/{i}" for i in range(size)]):
-                block = _pair_atoms_block(tags, m, atom_count)
-                for i, tag in enumerate(tags):
-                    one = _pair_atoms(tag, m, atom_count, FLOAT)
-                    for atoms, batch in zip(one, block):
-                        assert [bits(*atom) for atom in atoms] == [
-                            bits(w[i], complex(z.re[i], z.im[i]))
-                            for w, z in batch], (tag, m, atom_count)
-
-
-class _Fixed(random.Random):
-    """A stream whose uniforms are given: ``expovariate`` draws from it."""
-
-    def __init__(self, u):
-        super().__init__(0)
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def test_pair_atoms_block_transforms_are_the_stdlib_recipes():
-    # _pair_atoms_block writes the float recipe's two variates as column
-    # transforms; a stdlib change to either would otherwise show only as a
-    # golden diff
-    stream = random.Random("transforms")
-    edges = [0.0, 0.25, 0.5, 0.75, 1 - 2.0 ** -53, 2.0 ** -53]
-    for u in edges + [stream.random() for _ in range(20000)]:
-        assert (-math.log(1.0 - u)).hex() == \
-            _Fixed(u).expovariate(1.0).hex(), \
-            f"expovariate(1.0) is no longer -log(1.0 - u) at u = {u!r}"
-        x = 2 * math.pi * u
-        z = cmath.exp(2j * cmath.pi * u)
-        assert (math.cos(x).hex(), math.sin(x).hex()) == \
-            (z.real.hex(), z.imag.hex()), \
-            f"cmath.exp(2j*pi*u) is no longer (cos, sin)(2*pi*u) at u = {u!r}"
 
 
 def test_constrained_pair_second_moments_differ():

@@ -3,18 +3,15 @@
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from bifold.bounds import bound_alpha_exact, structural_ceiling
-from bifold.caratheodory import (CaratheodoryFunction, _float_faults,
-                                 _pair_atoms_block, constrained_pair)
-from bifold.derivation import (_solve_batch, bound_consistency,
-                               class_constants, forward_verify,
-                               realizable_pair, solve_alpha, solve_beta,
-                               solve_moments)
+from bifold.caratheodory import CaratheodoryFunction, constrained_pair
+from bifold.derivation import (bound_consistency, class_constants,
+                               forward_verify, realizable_pair, solve_alpha,
+                               solve_beta, solve_moments)
 from bifold.membership import ClassSpec
-from bifold.series import ComplexBatch, QComplex
+from bifold.series import QComplex
 
 F = Fraction
 ONE = QComplex(1, 0)
@@ -244,45 +241,3 @@ def test_solve_moments_runs_on_arrays(spec):
         assert batch.a_2m1[i] == pytest.approx(one.a_2m1, abs=1e-14)
         for key, value in one.residuals.items():
             assert batch.residuals[key][i] == pytest.approx(value, abs=1e-14)
-
-
-@pytest.mark.parametrize("spec", [
-    ClassSpec("arg", m=2, lam=1 / 3, alpha=2 / 3),
-    ClassSpec("re", m=3, lam=0.5, beta=0.25),
-])
-def test_solve_moments_on_a_batch_is_bit_identical(spec):
-    pairs = [constrained_pair(f"batch/{i}", spec.m, 3) for i in range(50)]
-    moments = [[p.coefficient(1), p.coefficient(2), q.coefficient(1),
-                q.coefficient(2)] for p, q in pairs]
-    constants = class_constants(spec, "float")
-    batch = solve_moments(*(ComplexBatch(np.array([z.real for z in column]),
-                                         np.array([z.imag for z in column]))
-                            for column in zip(*moments)), constants)
-
-    def bits(value, i=None):
-        if i is not None:
-            value = complex(value.re[i], value.im[i])
-        return value.real.hex(), value.imag.hex()
-
-    for i, row in enumerate(moments):
-        one = solve_moments(*row, constants)
-        assert bits(batch.a_m1, i) == bits(one.a_m1)
-        assert bits(batch.a_2m1, i) == bits(one.a_2m1)
-        for key, value in one.residuals.items():
-            assert bits(batch.residuals[key], i) == bits(value), key
-
-
-@pytest.mark.parametrize("part", ["weight", "point"])
-def test_solve_batch_flags_a_nan_set(part):
-    spec = ClassSpec("re", m=2, lam=0.5, beta=0.25)
-    tags = [f"nan/{i}" for i in range(6)]
-    p_atoms, q_atoms = _pair_atoms_block(tags, 2, 3)
-    weights, points = p_atoms[1]
-    if part == "weight":
-        weights[4] = float("nan")
-    else:
-        points.im[4] = float("nan")
-    assert list(np.flatnonzero(_float_faults(p_atoms))) == [4]
-    assert not np.any(_float_faults(q_atoms))
-    with pytest.raises(ValueError, match="nonnegative|unimodular"):
-        _solve_batch(p_atoms, q_atoms, class_constants(spec, "float"))

@@ -20,6 +20,11 @@ once more, when the float quotient and power moved to Miller's recurrence
 worst-margin and tail-estimate digits moved, and the ``membership`` f
 witness went from z to -conj(z), a point of equal margin, since that Phi is
 even with real coefficients; no verdict changed.
+``search-sweep.{csv,json}`` were re-recorded once, when the sweep moved from
+random atom measures to draws from the Caratheodory coefficient body: every
+sampled value and ``argmax_seed`` changed, the filter now holds body draws
+as well as the realizable pairs, and every cell still reads
+``ceiling_ok`` yes with both ratios at most 1.
 """
 
 import contextlib

@@ -243,6 +243,35 @@ def test_tail_estimate_ignores_the_constant_term():
     assert tail_estimate(TruncatedSeries.exact([7, 0, 1]), 0.5) > 0
 
 
+def test_tail_estimate_takes_the_largest_ratio_as_the_growth_rate():
+    # window c_3..c_8 = 1, 1, 1, 1, 1, 4: adjacent ratios 1, 1, 1, 1, 4
+    series = TruncatedSeries.floating([1, 0, 0, 1, 1, 1, 1, 1, 4])
+    # rho = 4: q = 0.8, lead = max(0.2^3, ..., 4 * 0.2^8) = 0.2^3
+    assert tail_estimate(series, 0.2) == pytest.approx(0.2 ** 3 * 0.8 / 0.2)
+    # rho = 4 at r = 0.5 gives q = 2: the extrapolated terms grow
+    assert tail_estimate(series, 0.5) == math.inf
+
+
+def test_scan_side_fails_a_margin_below_minus_the_tail():
+    # Phi = -1/2 + 64 z^6 on |z| = 1/2: the tail estimate is 1 (no
+    # adjacent nonzero pair, so rho = 1 and q = 1/2; lead 64 / 2^6), and
+    # Re Phi reaches -1/2 - 1 = -3/2 at z^6 = -1/64, which the 12-point
+    # circle holds.  A margin of -3/2 lies below -tail by more than the
+    # noise: a fail, not an inconclusive.
+    phi_series = TruncatedSeries.floating([-0.5, 0, 0, 0, 0, 0, 64])
+    spec = ClassSpec("re", beta=0)
+    report = membership._scan_side("f", phi_series, phi_series, spec,
+                                   (0.5,), 12)
+    assert report.tail == 1.0
+    assert report.worst_margin == pytest.approx(-1.5, abs=1e-12)
+    assert report.verdict == "fail"
+    # inside the tail the same scan cannot tell
+    shallow = TruncatedSeries.floating([0.5, 0, 0, 0, 0, 0, 64])
+    report = membership._scan_side("f", shallow, shallow, spec, (0.5,), 12)
+    assert report.worst_margin == pytest.approx(-0.5, abs=1e-12)
+    assert report.verdict == "inconclusive"
+
+
 def test_membership_needs_angles():
     with pytest.raises(ValueError, match="angles"):
         check_membership(TruncatedSeries.identity(8), ClassSpec("re", beta=0),

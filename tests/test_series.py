@@ -17,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 from bifold.caratheodory import CaratheodoryFunction
 from bifold.derivation import class_constants
 from bifold.membership import ClassSpec
-from bifold.series import (ComplexBatch, QComplex, TruncatedSeries,
-                           _to_ints, geometric_series)
+from bifold.series import (QComplex, TruncatedSeries, _to_ints,
+                           geometric_series)
 
 S = TruncatedSeries.exact
 
@@ -413,7 +413,7 @@ def test_qcomplex_in_series():
 
 
 # ----------------------------------------------------------------------
-# complex float batches
+# float bits
 
 
 def bits(z):
@@ -427,47 +427,6 @@ def random_complexes(rng, count):
         return rng.choice([0.0, -0.0, 1.0, rng.uniform(-2, 2),
                            rng.uniform(-2, 2) * 10.0 ** rng.randint(-9, 9)])
     return [complex(part(), part()) for _ in range(count)]
-
-
-def as_batch(values):
-    return ComplexBatch(np.array([z.real for z in values]),
-                        np.array([z.imag for z in values]))
-
-
-def entries(batch):
-    return [complex(r, i) for r, i in zip(batch.re, batch.im)]
-
-
-BATCH_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
-@pytest.mark.parametrize("op", sorted(BATCH_OPS))
-def test_batch_arithmetic_matches_complex_bit_for_bit(op):
-    fn = BATCH_OPS[op]
-    rng = random.Random(f"batch/{op}")
-    a, b = random_complexes(rng, 400), random_complexes(rng, 400)
-    x, y = as_batch(a), as_batch(b)
-    cases = [(fn(x, y), [fn(s, t) for s, t in zip(a, b)])]
-    for scalar in (0, 3, -2, 0.0, -0.0, 0.37, -1e-7, 2 - 0.5j, -0.0j):
-        cases.append((fn(x, scalar), [fn(s, scalar) for s in a]))
-        cases.append((fn(scalar, x), [fn(scalar, s) for s in a]))
-    weights = np.array([rng.uniform(0, 1) for _ in a])  # a real array
-    cases.append((fn(weights, x),
-                  [fn(float(w), s) for w, s in zip(weights, a)]))
-    for batch, expected in cases:
-        assert [bits(z) for z in entries(batch)] == [bits(z) for z in expected]
-
-
-def test_batch_division_by_a_real_and_abs_match_complex():
-    rng = random.Random("batch/divide")
-    a = random_complexes(rng, 400)
-    x = as_batch(a)
-    for divisor in (1, -3, 2.0, 0.1, -7.25, 4 * 0.3):
-        assert [bits(z) for z in entries(x / divisor)] == \
-            [bits(s / divisor) for s in a]
-    assert [v.hex() for v in abs(x)] == [abs(s).hex() for s in a]
-    with pytest.raises(ZeroDivisionError):
-        x / 0.0
 
 
 # ----------------------------------------------------------------------
