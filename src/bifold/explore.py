@@ -142,7 +142,8 @@ def replay_draw(tag, spec: ClassSpec, samples):
 
     The draw's whole block is rebuilt, so the moments carry the bits the
     sweep solved: ``solve_moments`` on one-element arrays of them gives
-    the sweep's values exactly.
+    the sweep's values exactly.  Take ``abs`` of those arrays, as the
+    sweep does; numpy's scalar ``abs`` can differ in the last bit.
     """
     prefix, _, index = tag.rpartition("/")
     if prefix.endswith("/realizable") or not index.isdecimal():

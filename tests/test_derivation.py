@@ -241,3 +241,29 @@ def test_solve_moments_runs_on_arrays(spec):
         assert batch.a_2m1[i] == pytest.approx(one.a_2m1, abs=1e-14)
         for key, value in one.residuals.items():
             assert batch.residuals[key][i] == pytest.approx(value, abs=1e-14)
+
+
+@pytest.mark.parametrize("spec", [
+    ClassSpec("arg", m=2, lam=1 / 3, alpha=2 / 3),
+    ClassSpec("re", m=3, lam=0.5, beta=0.25),
+])
+def test_solve_moments_on_a_batch_is_bit_identical(spec):
+    # a sweep block against its draws solved one at a time, as replay does
+    np = pytest.importorskip("numpy")
+    pairs = [constrained_pair(f"batch/{i}", spec.m, 3) for i in range(50)]
+    moments = np.array([[p.coefficient(1), p.coefficient(2),
+                         q.coefficient(1), q.coefficient(2)]
+                        for p, q in pairs])
+    constants = class_constants(spec, "float")
+    batch = solve_moments(*moments.T, constants)
+
+    def bits(value):
+        value = complex(value)
+        return value.real.hex(), value.imag.hex()
+
+    for i, row in enumerate(moments):
+        one = solve_moments(*(np.array([x]) for x in row), constants)
+        assert bits(batch.a_m1[i]) == bits(one.a_m1[0])
+        assert bits(batch.a_2m1[i]) == bits(one.a_2m1[0])
+        for key, value in one.residuals.items():
+            assert bits(batch.residuals[key][i]) == bits(value[0]), key

@@ -6,9 +6,12 @@ import sys
 import numpy as np
 import pytest
 
+from bifold import explore
+from bifold.bounds import structural_ceiling
+from bifold.caratheodory import CaratheodoryFunction, _subseed
 from bifold.derivation import (_solve, class_constants, realizable_pair,
                                solve_moments)
-from bifold.explore import replay_draw, sweep, sweep_cell
+from bifold.explore import SearchRecord, replay_draw, sweep, sweep_cell
 from bifold.membership import ClassSpec
 
 
@@ -53,8 +56,10 @@ def replayed(tag, spec, samples):
     moments = replay_draw(tag, spec, samples)
     solution = solve_moments(*(np.array([x]) for x in moments),
                              class_constants(spec, "float"))
-    return (float(abs(solution.a_m1[0])),
-            float(abs(solution.residuals["addition"][0])))
+    # abs of the array, as the sweep takes it: numpy's array abs and its
+    # scalar abs can differ in the last bit
+    return (float(abs(solution.a_m1)[0]),
+            float(abs(solution.residuals["addition"])[0]))
 
 
 def test_argmax_seed_reproduces_maximum():
@@ -86,6 +91,119 @@ def test_filtered_argmax_seed_reproduces_maximum():
     assert a_m1 == rec.max_a_m1
     assert score <= rec.threshold
 
+
+
+# ----------------------------------------------------------------------
+# the block sweep against a one-draw-at-a-time loop
+
+
+def reference_sweep_cell(kind, m, param, lam, samples, seed, atom_count=3,
+                         realizable=0,
+                         threshold=explore.DEFAULT_REALIZABILITY_THRESHOLD):
+    """sweep_cell as a plain loop: each draw replayed and solved alone,
+    then each realizable pair, folded one sample at a time."""
+    spec = ClassSpec.from_kind(kind, m, param, lam)
+    lam_f, param_f = float(lam), float(param)
+    best = {"f1": 0.0, "f2": 0.0, "u1": 0.0, "u2": 0.0,
+            "fseed": "", "useed": ""}
+    count_filtered = 0
+
+    def record(a1, a2, score, tag):
+        nonlocal count_filtered
+        if a1 > best["u1"]:
+            best["u1"] = a1
+            best["useed"] = tag
+        best["u2"] = max(best["u2"], a2)
+        if score <= threshold:
+            count_filtered += 1
+            if a1 > best["f1"]:
+                best["f1"] = a1
+                best["fseed"] = tag
+            best["f2"] = max(best["f2"], a2)
+
+    constants = class_constants(spec, "float")
+    prefix = _subseed(seed, kind, m, param_f, lam_f)
+    for i in range(samples):
+        tag = f"{prefix}/{i}"
+        moments = replay_draw(tag, spec, samples)
+        solution = solve_moments(*(np.array([x]) for x in moments),
+                                 constants)
+        record(float(abs(solution.a_m1)[0]), float(abs(solution.a_2m1)[0]),
+               float(abs(solution.residuals["addition"])[0]), tag)
+    for i in range(realizable):
+        tag = _subseed(seed, kind, m, param_f, lam_f, "realizable", i)
+        p, q = explore.realizable_pair(tag, spec, backend="float",
+                                       atom_count=atom_count)
+        solution = _solve(p, q, spec)
+        record(abs(complex(solution.a_m1)), abs(complex(solution.a_2m1)),
+               solution.realizability, tag)
+
+    b1, b2 = spec.bounds()
+    return SearchRecord(
+        kind=kind, m=m, param=param_f, lam=lam_f,
+        samples=samples + realizable, filtered_count=count_filtered,
+        max_a_m1=best["f1"], max_a_2m1=best["f2"],
+        max_a_m1_unfiltered=best["u1"], max_a_2m1_unfiltered=best["u2"],
+        bound_a_m1=b1, bound_a_2m1=b2,
+        ceiling=structural_ceiling(spec),
+        argmax_seed=best["fseed"], argmax_seed_unfiltered=best["useed"],
+        threshold=threshold)
+
+
+def batched_cases():
+    """All four sample counts for every atom count, with the realizable
+    counts, thresholds and seed types cycling through the cells."""
+    samples = (0, 1, 37, explore._BLOCK + 1)
+    realizable = (0, 3)
+    thresholds = (1e-14, 1e-8, 1e-3)
+    seeds = (4, "batched")
+    for atom_count in range(1, 6):
+        for j in range(4):
+            k = atom_count + j
+            yield (atom_count, samples[j], realizable[k % 2],
+                   thresholds[k % 3], seeds[(k // 2) % 2])
+
+
+@pytest.mark.parametrize("kind,param", [("alpha", 0.5), ("beta", 0.25)])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_batched_sweep_equals_one_pair_at_a_time(kind, param, m):
+    for atom_count, samples, realizable, threshold, seed in batched_cases():
+        args = (kind, m, param, 0.5, samples, seed)
+        kwargs = dict(atom_count=atom_count, realizable=realizable,
+                      threshold=threshold)
+        # dataclass equality: every float bit and every tag
+        assert sweep_cell(*args, **kwargs) == \
+            reference_sweep_cell(*args, **kwargs), (args, kwargs)
+
+
+def _broken_pairs(fault):
+    """A realizable_pair whose p breaks where its first point has real
+    part > 0.95: the point squared (p_m no longer cancels q_m) or moved
+    off the circle."""
+    original = explore.realizable_pair
+
+    def pair(seed, spec, backend, atom_count):
+        p, q = original(seed, spec, backend=backend, atom_count=atom_count)
+        (h, xi), *rest = p.atoms
+        if xi.real > 0.95:
+            xi = xi * xi if fault == "gap" else 1.5 * xi
+            p = CaratheodoryFunction([(h, xi), *rest], fold=p.fold,
+                                     backend=p.backend)
+        return p, q
+    return pair
+
+
+@pytest.mark.parametrize("fault", ["gap", "circle"])
+def test_batched_sweep_raises_the_first_pair_error(monkeypatch, fault):
+    monkeypatch.setattr(explore, "realizable_pair", _broken_pairs(fault))
+    cell = ("beta", 2, 0.25, 0.5)
+    assert reference_sweep_cell(*cell, 5, seed=5, realizable=2).samples == 7
+    with pytest.raises(ValueError) as expected:
+        reference_sweep_cell(*cell, 5, seed=5, realizable=40)
+    with pytest.raises(ValueError) as batched:
+        sweep_cell(*cell, 5, seed=5, realizable=40)
+    # a gap message carries the size of the first broken pair's gap
+    assert str(batched.value) == str(expected.value)
 
 def test_replay_draw_refuses_a_tag_that_is_no_body_draw():
     spec = ClassSpec("re", m=2, lam=0.5, beta=0.25)
