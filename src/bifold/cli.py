@@ -1,10 +1,13 @@
 """Command-line interface: every capability as a reproducible command.
 
-All commands are deterministic functions of their flags (plus an optional
-JSON config file; flags win).  Output is CSV (default) or JSON, to stdout
-or ``--out``.  Floats are printed with 15 significant digits and exact
-rationals as num/den strings, so repeated runs are byte-identical; the
-only run-dependent line is the CSV timestamp header, suppressed by
+All commands are deterministic functions of their flags.  ``--config``
+names a JSON object whose keys are flag names; ``main`` reads it as
+``--key=value`` words placed before the command line's own flags, so one
+parser checks both and the command line wins.  Each flag's default is
+declared once, in ``build_parser``.  Output is CSV (default) or JSON, to
+stdout or ``--out``.  Floats are printed with 15 significant digits and
+exact rationals as num/den strings, so repeated runs are byte-identical;
+the only run-dependent line is the CSV timestamp header, suppressed by
 ``--no-timestamp``.
 
 Exit codes: 0 success, 1 suite or verification failure, 2 usage error
@@ -65,15 +68,13 @@ def _jsonable(value):
 
 def _emit(rows, columns, args):
     """Write rows (list of dicts) as CSV or JSON per the common flags."""
-    fmt = getattr(args, "format", "csv") or "csv"
-    out_path = getattr(args, "out", None)
     stream = io.StringIO()
-    if fmt == "json":
+    if args.format == "json":
         payload = [{k: _jsonable(r.get(k)) for k in columns} for r in rows]
         json.dump(payload, stream, indent=2)
         stream.write("\n")
     else:
-        if not getattr(args, "no_timestamp", False):
+        if not args.no_timestamp:
             stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
             stream.write(f"# generated {stamp}\n")
         writer = csv.writer(stream, lineterminator="\n")
@@ -81,46 +82,34 @@ def _emit(rows, columns, args):
         for r in rows:
             writer.writerow([_fmt(r.get(k, "")) for k in columns])
     text = stream.getvalue()
-    if out_path:
-        with open(out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _parse_fraction(text) -> Fraction:
-    return Fraction(str(text))
-
-
-def _parse_seed(value):
-    text = str(value)
+def _parse_seed(text):
     return int(text) if text.lstrip("-").isdigit() else text
 
 
-def _parse_int(value, flag) -> int:
-    """An integer from the command line or a config file, else a refusal
-    that names the flag."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{flag} must be an integer, got {value!r}")
+def _parse_int(text, flag) -> int:
+    """An integer from a flag's text, else a refusal that names the flag."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag} must be an integer, got {text!r}") from None
 
 
-def _parse_count(value, flag) -> int:
-    count = _parse_int(value, flag)
+def _parse_count(text, flag) -> int:
+    count = _parse_int(text, flag)
     if count < 0:
         raise ValueError(f"{flag} must be >= 0, got {count}")
     return count
 
 
 def _parse_list(text, conv):
-    if isinstance(text, (list, tuple)):
-        return [conv(x) for x in text]
-    return [conv(part) for part in str(text).split(",") if part != ""]
+    return [conv(part) for part in text.split(",") if part != ""]
 
 
 def _parse_atoms(text):
@@ -144,40 +133,52 @@ def _parse_atoms(text):
 
 def _add_common(parser):
     parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
+    parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
-    parser.add_argument("--no-timestamp", action="store_true", default=None,
+    parser.add_argument("--no-timestamp", action="store_true",
                         help="suppress the CSV timestamp header line")
-    parser.add_argument("--config", help="JSON file with default flag values")
+    parser.add_argument("--config",
+                        help="JSON object of flag values; flags win")
 
 
-def _apply_config(args, parser_defaults):
-    """Fill argparse Namespace holes from --config, then from defaults."""
-    config = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            config = json.load(fh)
-    for key, value in vars(args).items():
-        if value is None:
-            flag = key.replace("_", "-")
-            if flag in config:
-                setattr(args, key, config[flag])
-            elif key in config:
-                setattr(args, key, config[key])
-            elif key in parser_defaults:
-                setattr(args, key, parser_defaults[key])
-    return args
+def _config_words(path):
+    """The config file as command-line words, one ``--key=value`` per key.
+
+    A key is a flag name without its dashes (``_`` reads as ``-``); JSON
+    true gives a bare switch, false leaves it off, and a list is joined
+    with commas.  ``=`` keeps a value such as ``-1/2`` from reading as a
+    flag.
+    """
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    words = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            value = ",".join(str(item) for item in value)
+        if value is True:
+            words.append(flag)
+        elif value is None or isinstance(value, dict):
+            raise ValueError(f"config key {key!r} must be a string, number, "
+                             f"boolean or list, got {json.dumps(value)}")
+        elif value is not False:
+            words.append(f"{flag}={value}")
+    return words
 
 
-def _refuse_ignored_param(args, given, uses_alpha):
+def _refuse_ignored_param(args, given):
     """Refuse a class parameter flag that ``--kind`` would ignore.
 
     Only flags on the command line (``given``) count: a config file may
     hold both parameters, as one used for ``bounds --kind both`` does.
     """
-    used, ignored = ("alpha", "beta") if uses_alpha else ("beta", "alpha")
-    if ignored in given:
-        raise ValueError(f"--{ignored} does not apply to --kind {args.kind}, "
+    kind = getattr(args, "kind", "both")
+    used, ignored = (("alpha", "beta") if kind in ("alpha", "arg")
+                     else ("beta", "alpha"))
+    if kind != "both" and getattr(given, ignored) is not None:
+        raise ValueError(f"--{ignored} does not apply to --kind {kind}, "
                          f"which takes --{used}")
 
 
@@ -186,18 +187,13 @@ def _refuse_ignored_param(args, given, uses_alpha):
 
 
 def cmd_bounds(args):
-    given = {key for key, value in vars(args).items() if value is not None}
-    args = _apply_config(args, {
-        "kind": "both", "m": "1", "alpha": "1", "beta": "0", "lam": "1"})
-    if args.kind != "both":
-        _refuse_ignored_param(args, given, args.kind == "alpha")
     kinds = ("alpha", "beta") if args.kind == "both" else (args.kind,)
     m_values = _parse_list(args.m, lambda x: _parse_int(x, "--m"))
-    lam_values = _parse_list(args.lam, _parse_fraction)
+    lam_values = _parse_list(args.lam, Fraction)
     rows = []
     for kind in kinds:
-        params = _parse_list(args.alpha if kind == "alpha" else args.beta,
-                             _parse_fraction)
+        params = _parse_list((args.alpha or "1") if kind == "alpha"
+                             else (args.beta or "0"), Fraction)
         matches = {}
         if 1 in lam_values:
             for r in bounds_mod.verify_reductions(
@@ -221,9 +217,8 @@ def cmd_bounds(args):
 
 
 def cmd_invert(args):
-    args = _apply_config(args, {"m": "1", "order": None})
     m = _parse_int(args.m, "--m")
-    coeffs = _parse_list(args.coeffs, _parse_fraction)
+    coeffs = _parse_list(args.coeffs, Fraction)
     if len(coeffs) < 3:
         coeffs = coeffs + [Fraction(0)] * (3 - len(coeffs))
     fn = MFoldFunction(m, coeffs)
@@ -244,14 +239,12 @@ def cmd_invert(args):
 
 
 def cmd_verify_inversion(args):
-    args = _apply_config(args, {
-        "m": "1,2,3,4,5,6", "samples": 25, "seed": 0})
-
     samples = _parse_count(args.samples, "--samples")
+    seed = _parse_seed(args.seed)
     rows = []
     failures = 0
     for m in _parse_list(args.m, lambda x: _parse_int(x, "--m")):
-        rng = random.Random(f"verify-inversion/{args.seed}/{m}")
+        rng = random.Random(f"verify-inversion/{seed}/{m}")
         results = [check_inversion(rng, m) for _ in range(samples)]
         mismatches = sum(not closed_ok for closed_ok, _ in results)
         identity_bad = sum(not identity_ok for _, identity_ok in results)
@@ -267,21 +260,17 @@ def cmd_verify_inversion(args):
 
 
 def cmd_membership(args):
-    given = {key for key, value in vars(args).items() if value is not None}
-    args = _apply_config(args, {
-        "name": None, "coeffs": None, "m": 1, "kind": "re", "alpha": None,
-        "beta": None, "lam": "1", "order": 240, "g_order": 32,
-        "angles": 720})
-    _refuse_ignored_param(args, given, args.kind == "arg")
     m = _parse_int(args.m, "--m")
-    lam = _parse_fraction(args.lam)
+    lam = Fraction(args.lam)
     if args.kind == "arg":
         spec = ClassSpec("arg", m=m, lam=lam,
-                         alpha=_parse_fraction(args.alpha or "1"))
+                         alpha=Fraction(args.alpha or "1"))
     else:
         spec = ClassSpec("re", m=m, lam=lam,
-                         beta=_parse_fraction(args.beta or "0"))
+                         beta=Fraction(args.beta or "0"))
     order = _parse_int(args.order, "--order")
+    if args.name and args.coeffs:
+        raise ValueError("give --name or --coeffs, not both")
     if args.name:
         if args.name not in CATALOG_NAMES:
             raise ValueError(f"unknown catalog name {args.name!r}; "
@@ -296,7 +285,7 @@ def cmd_membership(args):
                 f"order {order} truncates {args.name} to z itself; "
                 f"membership needs --order >= {first}")
     elif args.coeffs:
-        f = MFoldFunction(m, _parse_list(args.coeffs, _parse_fraction))
+        f = MFoldFunction(m, _parse_list(args.coeffs, Fraction))
     else:
         raise ValueError("membership needs --name or --coeffs")
     report = check_membership(
@@ -325,15 +314,10 @@ def cmd_membership(args):
 
 
 def cmd_solve_coeffs(args):
-    given = {key for key, value in vars(args).items() if value is not None}
-    args = _apply_config(args, {
-        "kind": "alpha", "m": 1, "alpha": "1", "beta": "0", "lam": "1",
-        "seed": 0, "atoms": 3, "p_atoms": None, "q_atoms": None,
-        "realizable": False})
-    _refuse_ignored_param(args, given, args.kind == "alpha")
     m = _parse_int(args.m, "--m")
-    lam = _parse_fraction(args.lam)
-    param = _parse_fraction(args.alpha if args.kind == "alpha" else args.beta)
+    lam = Fraction(args.lam)
+    param = Fraction((args.alpha or "1") if args.kind == "alpha"
+                            else (args.beta or "0"))
     spec = ClassSpec.from_kind(args.kind, m, float(param), float(lam))
     if bool(args.p_atoms) != bool(args.q_atoms):
         raise ValueError("--p-atoms and --q-atoms must be given together")
@@ -377,9 +361,6 @@ def cmd_solve_coeffs(args):
 
 
 def cmd_caratheodory_sample(args):
-    args = _apply_config(args, {
-        "seed": 0, "atoms": 3, "m": 1, "count": 10, "depth": 4,
-        "exact": False})
     depth = _parse_int(args.depth, "--depth")
     atoms, m = _parse_int(args.atoms, "--atoms"), _parse_int(args.m, "--m")
     rows = []
@@ -406,19 +387,14 @@ def cmd_caratheodory_sample(args):
 
 
 def cmd_search(args):
-    given = {key for key, value in vars(args).items() if value is not None}
-    args = _apply_config(args, {
-        "kind": "both", "m": "1,2,3", "alpha": "1/2,1", "beta": "0,1/2",
-        "lam": "1/4,1/2,1", "samples": 200, "seed": 0, "atoms": 3,
-        "realizable": 5})
-    if args.kind != "both":
-        _refuse_ignored_param(args, given, args.kind == "alpha")
     kinds = ("alpha", "beta") if args.kind == "both" else (args.kind,)
     m_values = _parse_list(args.m, lambda x: _parse_int(x, "--m"))
-    lam_values = [float(x) for x in _parse_list(args.lam, _parse_fraction)]
+    lam_values = [float(x) for x in _parse_list(args.lam, Fraction)]
     params = {
-        "alpha": [float(x) for x in _parse_list(args.alpha, _parse_fraction)],
-        "beta": [float(x) for x in _parse_list(args.beta, _parse_fraction)],
+        "alpha": [float(x) for x in _parse_list(args.alpha or "1/2,1",
+                                                Fraction)],
+        "beta": [float(x) for x in _parse_list(args.beta or "0,1/2",
+                                               Fraction)],
     }
     records = explore.sweep(
         kinds, m_values, params, lam_values,
@@ -446,8 +422,7 @@ def cmd_search(args):
 
 
 def cmd_selftest(args):
-    args = _apply_config(args, {"quick": False})
-    return run_selftest(quick=bool(args.quick), stream=sys.stdout)
+    return run_selftest(quick=args.quick, stream=sys.stdout)
 
 
 # ----------------------------------------------------------------------
@@ -464,11 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds", help="evaluate the closed-form bounds",
         epilog="columns: kind, m, alpha_or_beta, lambda, bound_a_m1, "
                "bound_a_2m1, corollary_match")
-    p.add_argument("--kind", choices=("alpha", "beta", "both"), default=None)
-    p.add_argument("--m", default=None, help="comma list of fold orders")
-    p.add_argument("--alpha", default=None, help="comma list (rationals ok)")
-    p.add_argument("--beta", default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
+    p.add_argument("--kind", choices=("alpha", "beta", "both"),
+                   default="both")
+    p.add_argument("--m", default="1", help="comma list of fold orders")
+    p.add_argument("--alpha", help="comma list (rationals ok)")
+    p.add_argument("--beta")
+    p.add_argument("--lambda", dest="lam", default="1")
     _add_common(p)
     p.set_defaults(func=cmd_bounds)
 
@@ -476,10 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
         "invert",
         help="first three inverse coefficients, closed form vs reversion",
         epilog="columns: exponent, closed_form, reversion, difference")
-    p.add_argument("--m", default=None)
+    p.add_argument("--m", default="1")
     p.add_argument("--coeffs", required=True,
                    help="a_{m+1},a_{2m+1},a_{3m+1} as rationals")
-    p.add_argument("--order", default=None)
+    p.add_argument("--order")
     _add_common(p)
     p.set_defaults(func=cmd_invert)
 
@@ -488,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="random ensemble check of the inverse formulas",
         epilog="columns: m, samples, closed_form_mismatches, "
                "identity_failures, ok")
-    p.add_argument("--m", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--m", default="1,2,3,4,5,6")
+    p.add_argument("--samples", default="25")
+    p.add_argument("--seed", default="0")
     _add_common(p)
     p.set_defaults(func=cmd_verify_inversion)
 
@@ -498,17 +474,17 @@ def build_parser() -> argparse.ArgumentParser:
         "membership", help="disk-sampled class membership",
         epilog="columns: side, verdict, worst_margin, witness_re, "
                "witness_im, tail_estimate, nonpositive_ratio_points")
-    p.add_argument("--name", default=None,
+    p.add_argument("--name",
                    help=f"catalog function ({', '.join(CATALOG_NAMES)})")
-    p.add_argument("--coeffs", default=None)
-    p.add_argument("--m", default=None)
-    p.add_argument("--kind", choices=("arg", "re"), default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--beta", default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--order", default=None)
-    p.add_argument("--g-order", default=None)
-    p.add_argument("--angles", default=None)
+    p.add_argument("--coeffs")
+    p.add_argument("--m", default="1")
+    p.add_argument("--kind", choices=("arg", "re"), default="re")
+    p.add_argument("--alpha")
+    p.add_argument("--beta")
+    p.add_argument("--lambda", dest="lam", default="1")
+    p.add_argument("--order", default="240")
+    p.add_argument("--g-order", default="32")
+    p.add_argument("--angles", default="720")
     _add_common(p)
     p.set_defaults(func=cmd_membership)
 
@@ -517,17 +493,17 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="columns: kind, m, param, lambda, a_m1, a_2m1, abs_a_m1, "
                "abs_a_2m1, bound_a_m1, bound_a_2m1, realizability, "
                "ratio_a_m1, ratio_a_2m1, residual_*")
-    p.add_argument("--kind", choices=("alpha", "beta"), default=None)
-    p.add_argument("--m", default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--beta", default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--atoms", default=None)
-    p.add_argument("--p-atoms", default=None,
+    p.add_argument("--kind", choices=("alpha", "beta"), default="alpha")
+    p.add_argument("--m", default="1")
+    p.add_argument("--alpha")
+    p.add_argument("--beta")
+    p.add_argument("--lambda", dest="lam", default="1")
+    p.add_argument("--seed", default="0")
+    p.add_argument("--atoms", default="3")
+    p.add_argument("--p-atoms",
                    help='explicit atoms "w@deg,w@deg" (with --q-atoms)')
-    p.add_argument("--q-atoms", default=None)
-    p.add_argument("--realizable", action="store_true", default=None)
+    p.add_argument("--q-atoms")
+    p.add_argument("--realizable", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_solve_coeffs)
 
@@ -536,12 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded positive-real-part samples + inequalities",
         epilog="columns: sample, atom_count, m, abs_p<k>m per depth, "
                "second_lhs, second_rhs, lemma_ok")
-    p.add_argument("--seed", default=None)
-    p.add_argument("--atoms", default=None)
-    p.add_argument("--m", default=None)
-    p.add_argument("--count", default=None)
-    p.add_argument("--depth", default=None)
-    p.add_argument("--exact", action="store_true", default=None)
+    p.add_argument("--seed", default="0")
+    p.add_argument("--atoms", default="3")
+    p.add_argument("--m", default="1")
+    p.add_argument("--count", default="10")
+    p.add_argument("--depth", default="4")
+    p.add_argument("--exact", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_caratheodory_sample)
 
@@ -560,21 +536,22 @@ def build_parser() -> argparse.ArgumentParser:
                "--realizable atom pairs; ceiling is the closed-form linear "
                "cap 4*lambda*t/(m*(1+lambda)) on |a_{m+1}| (t = alpha or "
                "1-beta), and a single atom attains it")
-    p.add_argument("--kind", choices=("alpha", "beta", "both"), default=None)
-    p.add_argument("--m", default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--beta", default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--samples", default=None)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--atoms", default=None)
-    p.add_argument("--realizable", default=None,
+    p.add_argument("--kind", choices=("alpha", "beta", "both"),
+                   default="both")
+    p.add_argument("--m", default="1,2,3")
+    p.add_argument("--alpha")
+    p.add_argument("--beta")
+    p.add_argument("--lambda", dest="lam", default="1/4,1/2,1")
+    p.add_argument("--samples", default="200")
+    p.add_argument("--seed", default="0")
+    p.add_argument("--atoms", default="3")
+    p.add_argument("--realizable", default="5",
                    help="constructed realizable pairs per cell")
     _add_common(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suites")
-    p.add_argument("--quick", action="store_true", default=None)
+    p.add_argument("--quick", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_selftest)
 
@@ -582,9 +559,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = given = parser.parse_args(argv)
     try:
+        if given.config:
+            # config words go after the subcommand and before the user's
+            # own flags, so the same parser checks them and the flags win
+            at = argv.index(given.command) + 1
+            args = parser.parse_args(
+                argv[:at] + _config_words(given.config) + argv[at:])
+        _refuse_ignored_param(args, given)
         return args.func(args)
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

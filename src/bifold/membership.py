@@ -32,6 +32,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import bounds as bounds_mod
+from .mfold import off_shape_exponent
 from .series import TruncatedSeries, scalar_types
 
 __all__ = [
@@ -288,10 +289,8 @@ def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
                             backend=f.backend)
     if not f.is_normalized():
         raise ValueError("membership checks need a normalized function")
-    if spec.m > 1:
-        for n in range(2, f.order + 1):
-            if (n - 1) % spec.m != 0 and f.coeffs[n] != 0:
-                raise ValueError(f"series is not {spec.m}-fold symmetric")
+    if spec.m > 1 and off_shape_exponent(f, spec.m) is not None:
+        raise ValueError(f"series is not {spec.m}-fold symmetric")
     g = f.truncate(min(f.order, g_order)).revert().to_float()
     f = f.to_float()
     ratio_f, ratio_g = _log_derivative(f), _log_derivative(g)

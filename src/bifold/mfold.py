@@ -29,6 +29,15 @@ __all__ = [
 ]
 
 
+def off_shape_exponent(series: TruncatedSeries, m):
+    """The first exponent n >= 2 with (n - 1) mod m != 0 and a nonzero
+    coefficient, or None when the series has the m-fold shape."""
+    for n in range(2, series.order + 1):
+        if (n - 1) % m != 0 and series.coeffs[n] != 0:
+            return n
+    return None
+
+
 @dataclass(frozen=True)
 class InverseCoefficients:
     """First three inverse coefficients b_{m+1}, b_{2m+1}, b_{3m+1}."""
@@ -93,11 +102,11 @@ class MFoldFunction:
         """Extract a_{km+1} from a normalized series, checking the m-fold shape."""
         if not series.is_normalized():
             raise ValueError("series is not normalized")
-        for n in range(2, series.order + 1):
-            if (n - 1) % m != 0 and series.coeffs[n] != 0:
-                raise ValueError(
-                    f"series is not {m}-fold symmetric: nonzero coefficient "
-                    f"at z^{n}")
+        n = off_shape_exponent(series, m)
+        if n is not None:
+            raise ValueError(
+                f"series is not {m}-fold symmetric: nonzero coefficient "
+                f"at z^{n}")
         coeffs = []
         for k in range(1, depth + 1):
             coeffs.append(series.coeff(k * m + 1))
@@ -141,10 +150,10 @@ class MFoldFunction:
     def _read_inverse(self, g) -> InverseCoefficients:
         """The three inverse coefficients of g, the reverted expansion."""
         m = self.m
-        for n in range(2, g.order + 1):
-            if (n - 1) % m != 0 and g.coeffs[n] != 0:
-                raise ArithmeticError(
-                    f"reverted series lost {m}-fold symmetry at w^{n}")
+        n = off_shape_exponent(g, m)
+        if n is not None:
+            raise ArithmeticError(
+                f"reverted series lost {m}-fold symmetry at w^{n}")
         return InverseCoefficients(m, g.coeff(m + 1), g.coeff(2 * m + 1),
                                    g.coeff(3 * m + 1))
 

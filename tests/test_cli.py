@@ -1,8 +1,11 @@
 """End-to-end CLI behaviour through the module entry point."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +115,24 @@ def test_membership_needs_a_function():
     assert proc.returncode == 2
 
 
+def test_membership_refuses_name_with_coeffs(capsys):
+    from bifold.cli import main
+
+    assert main(["membership", "--name", "geometric", "--coeffs", "1/3",
+                 "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: give --name or --coeffs, not both\n"
+    assert out == ""
+
+
+def test_verify_inversion_takes_a_string_seed(capsys):
+    from bifold.cli import main
+
+    assert main(["verify-inversion", "--m", "1", "--samples", "2",
+                 "--seed", "abc", "--no-timestamp"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1,2,0,0,yes"
+
+
 def test_solve_coeffs_realizable():
     out = run_cli("solve-coeffs", "--kind", "beta", "--m", "2", "--beta",
                   "1/4", "--lambda", "1/2", "--seed", "7", "--realizable",
@@ -157,10 +178,11 @@ def test_search_sweep_json():
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "alpha", "m": "2", "alpha": "1/2",
-                               "lambda": "1"}))
+                               "lambda": "1/2"}))
     out = run_cli("bounds", "--config", str(cfg),
                   "--no-timestamp").stdout.splitlines()
-    assert out[1].startswith("alpha,2,1/2,1,")
+    assert len(out) == 2
+    assert out[1].startswith("alpha,2,1/2,1/2,")
 
 
 def test_flags_override_config(tmp_path):
@@ -170,6 +192,71 @@ def test_flags_override_config(tmp_path):
     out = run_cli("bounds", "--config", str(cfg), "--m", "3",
                   "--no-timestamp").stdout.splitlines()
     assert out[1].startswith("alpha,3,1/2,1,")
+
+
+def _exit_code(argv):
+    """main's exit code, whether it returns it or argparse raises it."""
+    from bifold.cli import main
+
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_config_keys_read_as_flag_words(tmp_path, capsys):
+    # an underscored key, an abbreviated one, a list, a number, a switch
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "alpha", "m": [1, 2], "alpha": 1,
+                               "lam": "1/2", "no_timestamp": True}))
+    assert _exit_code(["bounds", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[:4] for row in out[1:]] == \
+        [["alpha", "1", "1", "1/2"], ["alpha", "2", "1", "1/2"]]
+    cfg.write_text(json.dumps({"no_timestamp": False}))
+    assert _exit_code(["bounds", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("# generated ")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("membership", "--name", "geometric", "--order", "12", "--angles",
+      "36"), {"kind": "gamma"}, "argument --kind: invalid choice: 'gamma'"),
+    (("bounds",), {"format": "xml"},
+     "argument --format: invalid choice: 'xml'"),
+    (("solve-coeffs",), {"realizable": "false"},
+     "argument --realizable: ignored explicit argument 'false'"),
+    (("caratheodory-sample", "--count", "1"), {"exact": "false"},
+     "argument --exact: ignored explicit argument 'false'"),
+    (("selftest",), {"quick": "false"},
+     "argument --quick: ignored explicit argument 'false'"),
+    (("bounds",), ["--m", "2"], "must hold a JSON object"),
+    (("bounds",), {"lamda": "1/2"}, "unrecognized arguments: --lamda=1/2"),
+    (("bounds",), {"m": None}, "config key 'm' must be a string"),
+    (("bounds",), {"m": {"value": 2}}, "config key 'm' must be a string"),
+], ids=["kind-choice", "format-choice", "realizable-string", "exact-string",
+        "quick-string", "json-list", "misspelt-key", "null", "object"])
+def test_config_defects_exit_2(argv, config, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert _exit_code([argv[0], "--config", str(cfg), *argv[1:],
+                       "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""
+
+
+def test_readme_commands_exit_0():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    commands = []
+    for block in blocks:
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["bifold"]:
+                commands.append(words[1:])
+    assert commands
+    for argv in commands:
+        assert _exit_code([*argv, "--no-timestamp"]) == 0, argv
 
 
 def test_timestamp_header_toggle():
@@ -396,9 +483,10 @@ def test_class_parameter_the_kind_ignores_exits_2(argv, flag, capsys):
     (("membership", "--name", "log", "--g-order", "1e3"), "--g-order",
      "1e3"),
     (("invert", "--coeffs", "1/2", "--order", "4.0"), "--order", "4.0"),
+    (("verify-inversion", "--samples", "2.5"), "--samples", "2.5"),
 ], ids=["search-samples", "bounds-m", "bounds-m-list", "verify-inversion-m",
         "caratheodory-count", "caratheodory-atoms", "membership-angles",
-        "membership-g-order", "invert-order"])
+        "membership-g-order", "invert-order", "verify-inversion-samples"])
 def test_integer_flags_fail_in_bifolds_words(argv, flag, value, capsys):
     from bifold.cli import main
 
