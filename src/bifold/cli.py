@@ -108,8 +108,14 @@ def _parse_count(text, flag) -> int:
     return count
 
 
-def _parse_list(text, conv):
-    return [conv(part) for part in text.split(",") if part != ""]
+def _parse_list(text, flag, conv):
+    """A flag's comma list, each item read by ``conv``; an empty item,
+    as in "", "1,,2" or a trailing comma, is refused."""
+    parts = text.split(",")
+    if "" in parts:
+        raise ValueError(f"{flag} must be a comma list with no empty item, "
+                         f"got {text!r}")
+    return [conv(part) for part in parts]
 
 
 def _parse_atoms(text):
@@ -141,19 +147,21 @@ def _add_common(parser):
                         help="JSON object of flag values; flags win")
 
 
-def _config_words(path):
+def _config_words(path, parser, head):
     """The config file as command-line words, one ``--key=value`` per key.
 
     A key is a flag name without its dashes (``_`` reads as ``-``); JSON
     true gives a bare switch, false leaves it off, and a list is joined
     with commas.  ``=`` keeps a value such as ``-1/2`` from reading as a
-    flag.
+    flag.  The parser refuses a word that names no option; a false key
+    gives no word, so it is checked here, by parsing it as a bare flag
+    after ``head``, the command line up to the subcommand.
     """
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    words = []
+    words, off = [], {}
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
         if isinstance(value, list):
@@ -163,8 +171,14 @@ def _config_words(path):
         elif value is None or isinstance(value, dict):
             raise ValueError(f"config key {key!r} must be a string, number, "
                              f"boolean or list, got {json.dumps(value)}")
-        elif value is not False:
+        elif value is False:
+            off[flag] = key
+        else:
             words.append(f"{flag}={value}")
+    _, unknown = parser.parse_known_args(head + list(off))
+    if unknown:
+        raise ValueError(f"config key {off[unknown[0]]!r} names no option "
+                         f"of {head[-1]}")
     return words
 
 
@@ -188,12 +202,12 @@ def _refuse_ignored_param(args, given):
 
 def cmd_bounds(args):
     kinds = ("alpha", "beta") if args.kind == "both" else (args.kind,)
-    m_values = _parse_list(args.m, lambda x: _parse_int(x, "--m"))
-    lam_values = _parse_list(args.lam, Fraction)
+    m_values = _parse_list(args.m, "--m", lambda x: _parse_int(x, "--m"))
+    lam_values = _parse_list(args.lam, "--lambda", Fraction)
     rows = []
     for kind in kinds:
         params = _parse_list((args.alpha or "1") if kind == "alpha"
-                             else (args.beta or "0"), Fraction)
+                             else (args.beta or "0"), f"--{kind}", Fraction)
         matches = {}
         if 1 in lam_values:
             for r in bounds_mod.verify_reductions(
@@ -218,7 +232,9 @@ def cmd_bounds(args):
 
 def cmd_invert(args):
     m = _parse_int(args.m, "--m")
-    coeffs = _parse_list(args.coeffs, Fraction)
+    if args.coeffs is None:
+        raise ValueError("invert needs --coeffs")
+    coeffs = _parse_list(args.coeffs, "--coeffs", Fraction)
     if len(coeffs) < 3:
         coeffs = coeffs + [Fraction(0)] * (3 - len(coeffs))
     fn = MFoldFunction(m, coeffs)
@@ -243,7 +259,7 @@ def cmd_verify_inversion(args):
     seed = _parse_seed(args.seed)
     rows = []
     failures = 0
-    for m in _parse_list(args.m, lambda x: _parse_int(x, "--m")):
+    for m in _parse_list(args.m, "--m", lambda x: _parse_int(x, "--m")):
         rng = random.Random(f"verify-inversion/{seed}/{m}")
         results = [check_inversion(rng, m) for _ in range(samples)]
         mismatches = sum(not closed_ok for closed_ok, _ in results)
@@ -285,7 +301,7 @@ def cmd_membership(args):
                 f"order {order} truncates {args.name} to z itself; "
                 f"membership needs --order >= {first}")
     elif args.coeffs:
-        f = MFoldFunction(m, _parse_list(args.coeffs, Fraction))
+        f = MFoldFunction(m, _parse_list(args.coeffs, "--coeffs", Fraction))
     else:
         raise ValueError("membership needs --name or --coeffs")
     report = check_membership(
@@ -388,13 +404,14 @@ def cmd_caratheodory_sample(args):
 
 def cmd_search(args):
     kinds = ("alpha", "beta") if args.kind == "both" else (args.kind,)
-    m_values = _parse_list(args.m, lambda x: _parse_int(x, "--m"))
-    lam_values = [float(x) for x in _parse_list(args.lam, Fraction)]
+    m_values = _parse_list(args.m, "--m", lambda x: _parse_int(x, "--m"))
+    lam_values = [float(x) for x in _parse_list(args.lam, "--lambda",
+                                                Fraction)]
     params = {
         "alpha": [float(x) for x in _parse_list(args.alpha or "1/2,1",
-                                                Fraction)],
+                                                "--alpha", Fraction)],
         "beta": [float(x) for x in _parse_list(args.beta or "0,1/2",
-                                               Fraction)],
+                                               "--beta", Fraction)],
     }
     records = explore.sweep(
         kinds, m_values, params, lam_values,
@@ -453,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="first three inverse coefficients, closed form vs reversion",
         epilog="columns: exponent, closed_form, reversion, difference")
     p.add_argument("--m", default="1")
-    p.add_argument("--coeffs", required=True,
+    p.add_argument("--coeffs",
                    help="a_{m+1},a_{2m+1},a_{3m+1} as rationals")
     p.add_argument("--order")
     _add_common(p)
@@ -568,7 +585,8 @@ def main(argv=None) -> int:
             # own flags, so the same parser checks them and the flags win
             at = argv.index(given.command) + 1
             args = parser.parse_args(
-                argv[:at] + _config_words(given.config) + argv[at:])
+                argv[:at] + _config_words(given.config, parser, argv[:at])
+                + argv[at:])
         _refuse_ignored_param(args, given)
         return args.func(args)
     except (ValueError, TypeError, OSError, KeyError) as exc:

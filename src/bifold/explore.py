@@ -36,8 +36,6 @@ import random
 from dataclasses import dataclass
 from numbers import Real
 
-import numpy as np
-
 from .bounds import RATIO_SLACK, structural_ceiling
 from .caratheodory import _subseed
 from .derivation import (class_constants, realizable_pair, solve_moments,
@@ -100,6 +98,8 @@ class SearchRecord:
 
 def _unit_disk(radius, angle):
     """Points uniform by area on the unit disk from two uniforms each."""
+    import numpy as np
+
     return np.sqrt(radius) * np.exp(2j * np.pi * angle)
 
 
@@ -110,6 +110,8 @@ def _draw_block(prefix, block, count, constants):
     The block's stream gives six 53-bit uniforms per draw: the polar
     parts of p_m / 2, x and y.
     """
+    import numpy as np
+
     raw = random.Random(f"{prefix}/{block}").randbytes(48 * count)
     u = (np.frombuffer(raw, dtype="<u8") >> 11) * 2.0 ** -53
     u = u.reshape(count, 6).T
@@ -185,6 +187,8 @@ def sweep_cell(kind, m, param, lam, samples, seed,
     are constructed to satisfy the full system exactly (well, to float
     solve tolerance).
     """
+    import numpy as np
+
     _check_counts(samples, realizable, atom_count, threshold)
     spec = ClassSpec.from_kind(kind, m, param, lam)
     constants = class_constants(spec, "float")

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from .mfold import off_shape_exponent
 from .series import TruncatedSeries, scalar_types
@@ -199,6 +197,8 @@ class MembershipReport:
 
 
 def _margins(values, spec):
+    import numpy as np
+
     if spec.kind == "arg":
         out = np.pi / 2 * float(spec.alpha) - np.abs(np.angle(values))
         out = np.where(values == 0, -np.inf, out)
@@ -207,6 +207,8 @@ def _margins(values, spec):
 
 
 def _scan_side(side, phi_series, ratio_series, spec, radii, angles):
+    import numpy as np
+
     theta = 2.0 * np.pi * np.arange(angles) / angles
     # one row per radius, one FFT per row; points only locate the witness
     points = np.array(radii, dtype=float)[:, None] * np.exp(1j * theta)
@@ -267,6 +269,8 @@ def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
     Every margin is compared against the geometric tail estimate; margins
     inside the estimate give "inconclusive".
     """
+    import numpy as np
+
     given, radii = radii, tuple(radii) if np.iterable(radii) else ()
     if not radii or not all(isinstance(r, Real) and not isinstance(r, bool)
                             and 0 < r < 1 for r in radii):

@@ -27,6 +27,8 @@ Two coefficient backends are supported:
     dot product per coefficient, and only on the exponents of an m-fold
     series that can be nonzero.  Values on whole circles come from one
     inverse FFT per radius.  Comparisons need explicit tolerances.
+    numpy is imported inside the float functions, here and in
+    ``membership`` and ``explore``, so exact work never loads it.
 
 Series are immutable after construction and safe to share across threads.
 """
@@ -36,8 +38,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, hypot, lcm
 from numbers import Rational
-
-import numpy as np
 
 __all__ = ["QComplex", "TruncatedSeries", "geometric_series"]
 
@@ -424,6 +424,8 @@ def _pow_exact(coeffs, exponent):
 
 
 def _mul_coeffs_float(a, b, order):
+    import numpy as np
+
     conv = np.convolve(np.asarray(a, dtype=complex),
                        np.asarray(b, dtype=complex))[: order + 1]
     return list(conv)
@@ -441,6 +443,8 @@ def _miller_float(coeffs, c, d, q=1):
     runs on a_{jg} and b_{jg} in j: an m-fold series takes n/m steps.  A
     non-finite coefficient gives non-finite output without a RuntimeWarning.
     """
+    import numpy as np
+
     a = np.array(coeffs, dtype=complex)
     n = a.size - 1
     g = gcd(*(np.flatnonzero(a[1:]) + 1).tolist()) or n + 1
@@ -626,6 +630,8 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         b0 = other.coeffs[0]
         if self.backend == FLOAT:
+            import numpy as np
+
             # a / b = a (b / b0)^-1 / b0, with b0 inside Miller's recurrence:
             # dividing b by b0 first would not give exactly 1 at z^0
             recip = _miller_float(other.coeffs[: n + 1], 0, 1, b0)
@@ -817,6 +823,8 @@ class TruncatedSeries:
 
         np.polyval's own recurrence y = y * x + c, run in place.
         """
+        import numpy as np
+
         x = np.asarray(points, dtype=complex)
         y = np.zeros_like(x)
         for c in np.array(list(map(complex, reversed(self.coeffs)))):
@@ -835,6 +843,8 @@ class TruncatedSeries:
         ``angles`` in k.  A non-finite coefficient gives non-finite rows
         without a RuntimeWarning.
         """
+        import numpy as np
+
         c = np.array(list(map(complex, self.coeffs)))
         r = np.asarray(radii, dtype=float)[:, None]
         with np.errstate(all="ignore"):

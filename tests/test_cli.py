@@ -231,10 +231,14 @@ def test_config_keys_read_as_flag_words(tmp_path, capsys):
      "argument --quick: ignored explicit argument 'false'"),
     (("bounds",), ["--m", "2"], "must hold a JSON object"),
     (("bounds",), {"lamda": "1/2"}, "unrecognized arguments: --lamda=1/2"),
+    # false gives no word, so the parser never sees the misspelt key
+    (("bounds", "--kind", "alpha"), {"lamda": False},
+     "config key 'lamda' names no option of bounds"),
     (("bounds",), {"m": None}, "config key 'm' must be a string"),
     (("bounds",), {"m": {"value": 2}}, "config key 'm' must be a string"),
 ], ids=["kind-choice", "format-choice", "realizable-string", "exact-string",
-        "quick-string", "json-list", "misspelt-key", "null", "object"])
+        "quick-string", "json-list", "misspelt-key", "misspelt-false-key",
+        "null", "object"])
 def test_config_defects_exit_2(argv, config, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -243,6 +247,70 @@ def test_config_defects_exit_2(argv, config, message, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert message in err
     assert out == ""
+
+
+def test_config_supplies_invert_coeffs(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 2, "coeffs": "1/2,1/3,-1/5"}))
+    assert _exit_code(["invert", "--config", str(cfg), "--no-timestamp"]) \
+        == 0
+    from_config = capsys.readouterr().out
+    assert _exit_code(["invert", "--m", "2", "--coeffs", "1/2,1/3,-1/5",
+                       "--no-timestamp"]) == 0
+    assert from_config == capsys.readouterr().out
+    cfg.write_text(json.dumps({"m": 2}))
+    assert _exit_code(["invert", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: invert needs --coeffs\n")
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (("bounds", "--m", ""), "--m", ""),
+    (("search", "--lambda", ","), "--lambda", ","),
+    (("invert", "--coeffs", "1/3,,1/5"), "--coeffs", "1/3,,1/5"),
+], ids=["bounds-m", "search-lambda", "invert-coeffs"])
+def test_empty_list_items_exit_2(argv, flag, text, capsys):
+    assert _exit_code([*argv, "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {flag} must be a comma list with no empty "
+                   f"item, got {text!r}\n")
+
+
+def _loads_numpy(code):
+    """Whether ``code``, run in a fresh interpreter, leaves numpy loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nprint('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_importing_bifold_does_not_load_numpy():
+    # numpy loads on the first float call, not with the package
+    assert not _loads_numpy("import sys, bifold")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds"],
+    ["invert", "--m", "2", "--coeffs", "1/2,1/3,-1/5"],
+    ["verify-inversion", "--m", "1,2", "--samples", "2"],
+    ["caratheodory-sample", "--count", "2"],
+    ["caratheodory-sample", "--count", "2", "--exact"],
+    ["solve-coeffs"],
+], ids=["bounds", "invert", "verify-inversion", "caratheodory-sample",
+        "caratheodory-sample-exact", "solve-coeffs"])
+def test_exact_commands_do_not_load_numpy(argv):
+    code = ("import contextlib, io, sys\n"
+            "from bifold.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv + ['--no-timestamp']!r}) == 0")
+    assert not _loads_numpy(code)
+
+
+def test_float_commands_load_numpy():
+    # the check above can fail: the sweep and the grid scan need numpy
+    assert _loads_numpy("import sys, bifold\n"
+                        "bifold.sweep_cell('alpha', 1, 1.0, 0.5, 10, seed=0)")
 
 
 def test_readme_commands_exit_0():
