@@ -23,6 +23,7 @@ so that every expansion coefficient is an exact QComplex.
 from __future__ import annotations
 
 import cmath
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -396,13 +397,42 @@ _BASE_WEIGHTS = (
 )
 
 
+@functools.cache
+def _base(backend):
+    """The base weights and points in ``backend``'s scalars, and the matrix
+    of ``with_moments``' linear system, built once per backend (a float64
+    array on floats, so numpy loads with the first float call).
+
+    The rows are sum(delta), Re/Im sum(delta*zeta) and Re/Im
+    sum(delta*zeta^2) over the first five points; the sixth weight stays
+    put.
+    """
+    if backend == EXACT:
+        weights, points = _BASE_WEIGHTS, _BASE_POINTS
+    else:
+        weights = tuple(float(w) for w in _BASE_WEIGHTS)
+        points = tuple(complex(p) for p in _BASE_POINTS)
+    squares = [p * p for p in points[:5]]
+    matrix = [[1] * 5,
+              [p.real for p in points[:5]],
+              [p.imag for p in points[:5]],
+              [p.real for p in squares],
+              [p.imag for p in squares]]
+    if backend != EXACT:
+        import numpy as np
+
+        matrix = np.array(matrix, dtype=float)
+    return weights, points, matrix
+
+
 def zero_moment_base(fold=1, backend=EXACT) -> CaratheodoryFunction:
     """Six-atom mixture whose first and second atom moments vanish exactly.
 
     Useful as a neutral carrier: mixing any sample with it scales the first
     two expansion coefficients without leaving the class.
     """
-    return CaratheodoryFunction(zip(_BASE_WEIGHTS, _BASE_POINTS), fold=fold,
+    weights, points, _ = _base(backend)
+    return CaratheodoryFunction(zip(weights, points), fold=fold,
                                 backend=backend)
 
 
@@ -418,19 +448,14 @@ def with_moments(c1, c2, fold=1, backend=EXACT) -> CaratheodoryFunction:
     if backend == EXACT:
         c1, c2 = (c if isinstance(c, QComplex) else QComplex(c)
                   for c in (c1, c2))
-        pts, solve = _BASE_POINTS, solve_linear_exact
+        solve = solve_linear_exact
     else:
         c1, c2 = complex(c1), complex(c2)
-        pts, solve = [complex(p) for p in _BASE_POINTS], _solve_linear_float
-    squares = [p * p for p in pts[:5]]
-    matrix = [[1] * 5,
-              [p.real for p in pts[:5]],
-              [p.imag for p in pts[:5]],
-              [p.real for p in squares],
-              [p.imag for p in squares]]
+        solve = _solve_linear_float
+    base, pts, matrix = _base(backend)
     rhs = [0, c1.real, c1.imag, c2.real, c2.imag]
     delta = solve(matrix, rhs) + [0]
-    weights = [w + d for w, d in zip(_BASE_WEIGHTS, delta)]
+    weights = [w + d for w, d in zip(base, delta)]
     if any(w < 0 for w in weights):
         raise ValueError("prescribed moments leave the weight simplex")
     return CaratheodoryFunction(zip(weights, pts), fold=fold, backend=backend)

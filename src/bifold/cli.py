@@ -413,11 +413,16 @@ def cmd_search(args):
         "beta": [float(x) for x in _parse_list(args.beta or "0,1/2",
                                                "--beta", Fraction)],
     }
+    samples = _parse_int(args.samples, "--samples")
+    realizable = _parse_int(args.realizable, "--realizable")
     records = explore.sweep(
-        kinds, m_values, params, lam_values,
-        _parse_int(args.samples, "--samples"), _parse_seed(args.seed),
-        atom_count=_parse_int(args.atoms, "--atoms"),
-        realizable=_parse_int(args.realizable, "--realizable"))
+        kinds, m_values, params, lam_values, samples, _parse_seed(args.seed),
+        atom_count=_parse_int(args.atoms, "--atoms"), realizable=realizable)
+    if samples == 0 and realizable == 0:
+        # refused once the sweep has checked every count: an empty cell
+        # can only fail, and exit 1 means a failed check
+        raise ValueError("search has nothing to draw: --samples and "
+                         "--realizable are both 0")
     rows = [{
         "kind": rec.kind, "m": rec.m, "param": rec.param,
         "lambda": rec.lam, "samples": rec.samples,

@@ -196,13 +196,15 @@ def solve_moments(p_m, p_2m, q_m, q_2m,
 _GAP_TOL = 1e-12  # float moment constraint: |p_m + q_m| <= tol max(1, |p_m|)
 
 
-def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
-           spec: ClassSpec) -> CoefficientSolution:
+def _pair_moments(p: CaratheodoryFunction, q: CaratheodoryFunction,
+                  spec: ClassSpec):
+    """(p_m, p_2m, q_m, q_2m) of a pair, once p and q share a backend,
+    their fold is the spec's m and p_m + q_m = 0 (exactly, or to
+    ``_GAP_TOL`` on floats)."""
     if p.backend != q.backend:
         raise ValueError("p and q must share a backend")
     if p.fold != spec.m or q.fold != spec.m:
         raise ValueError("fold order of p, q must match the class spec")
-    constants = class_constants(spec, p.backend)
     p_m, p_2m = p.coefficient(1), p.coefficient(2)
     q_m, q_2m = q.coefficient(1), q.coefficient(2)
 
@@ -213,7 +215,13 @@ def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
     elif abs(gap) > _GAP_TOL and abs(gap) > _GAP_TOL * abs(p_m):
         raise ValueError(
             f"moment constraint violated: |p_m + q_m| = {abs(gap)}")
-    return solve_moments(p_m, p_2m, q_m, q_2m, constants)
+    return p_m, p_2m, q_m, q_2m
+
+
+def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
+           spec: ClassSpec) -> CoefficientSolution:
+    return solve_moments(*_pair_moments(p, q, spec),
+                         class_constants(spec, p.backend))
 
 
 def solve_alpha(p, q, m, alpha, lam) -> CoefficientSolution:

@@ -20,13 +20,16 @@ bounds apply to: the body draws whose forced q_2m was kept.  The unfiltered
 maxima run over every draw, so |a_{m+1}| there reaches toward the linear
 ceiling and |a_{2m+1}| stays under B2, which needs no filter.  A cell can
 also mix in constructed realizable atom pairs (``realizable_pair``, shaped
-by ``atom_count``), which are solved one by one.
+by ``atom_count``).
 
 Draws come in blocks of ``_BLOCK``.  Block b reads its uniforms from one
 stream seeded with ``f"{prefix}/{b}"``, six per draw, and is solved with
 one ``solve_moments`` call on complex128 arrays.  A sample's
 ``argmax_seed`` is ``f"{prefix}/{i}"``; ``replay_draw`` rebuilds the
 moments of draw i from its whole block, so they carry the block's bits.
+The realizable pairs are built and checked one by one, in order, and
+their moments are then solved together by one more ``solve_moments``
+call on complex128 arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from numbers import Real
 from .bounds import RATIO_SLACK, structural_ceiling
 from .caratheodory import _subseed
 from .derivation import (class_constants, realizable_pair, solve_moments,
-                         _solve)
+                         _pair_moments)
 from .membership import ClassSpec, _is_integer
 
 __all__ = ["SearchRecord", "sweep_cell", "sweep", "replay_draw",
@@ -47,9 +50,10 @@ __all__ = ["SearchRecord", "sweep_cell", "sweep", "replay_draw",
 
 DEFAULT_REALIZABILITY_THRESHOLD = 1e-8
 # Draws are generated and solved this many at a time, so memory stays flat
-# however many samples a cell takes; it also fixes which block, and so
-# which seeded stream, a draw index belongs to.
-_BLOCK = 256
+# however many samples a cell takes (a sweep's arrays peak near 2 MB) while
+# numpy's fixed cost per call is paid once per 4096 draws; it also fixes
+# which block, and so which seeded stream, a draw index belongs to.
+_BLOCK = 4096
 
 
 @dataclass
@@ -147,6 +151,9 @@ def replay_draw(tag, spec: ClassSpec, samples):
     the sweep's values exactly.  Take ``abs`` of those arrays, as the
     sweep does; numpy's scalar ``abs`` can differ in the last bit.
     """
+    if not (_is_integer(samples) and samples >= 0):
+        raise ValueError(
+            f"samples must be an integer >= 0, got {samples!r}")
     prefix, _, index = tag.rpartition("/")
     if prefix.endswith("/realizable") or not index.isdecimal():
         raise ValueError(f"{tag!r} is not the tag of a body draw")
@@ -185,7 +192,9 @@ def sweep_cell(kind, m, param, lam, samples, seed,
 
     ``realizable`` additional atom pairs with ``atom_count`` random atoms
     are constructed to satisfy the full system exactly (well, to float
-    solve tolerance).
+    solve tolerance).  Each pair passes ``_pair_moments``' checks as it
+    is built, so the first broken pair raises first; their moments are
+    then solved together on complex128 arrays, as the body draws are.
     """
     import numpy as np
 
@@ -197,20 +206,35 @@ def sweep_cell(kind, m, param, lam, samples, seed,
     best = {"f1": 0.0, "f2": 0.0, "u1": 0.0, "u2": 0.0,
             "fseed": "", "useed": ""}
     count_filtered = 0
+    prefix = _subseed(seed, kind, m, param_f, lam_f)
 
-    def record(a1, a2, score, tags):
-        """Fold one batch, in sample order, into the running maxima.
+    def batches():
+        """(moments, tags) of the body draws, one block at a time, then of
+        all the realizable pairs, each pair checked as it is built."""
+        for block, start in enumerate(range(0, samples, _BLOCK)):
+            count = min(_BLOCK, samples - start)
+            yield (_draw_block(prefix, block, count, constants),
+                   _BlockTags(prefix, start))
+        if realizable:
+            tags = [_subseed(seed, kind, m, param_f, lam_f, "realizable", i)
+                    for i in range(realizable)]
+            moments = [_pair_moments(*realizable_pair(
+                tag, spec, backend="float", atom_count=atom_count), spec)
+                for tag in tags]
+            yield np.array(tuple(zip(*moments)), dtype=complex), tags
 
-        An argmax moves only to a strictly greater value, so the first
-        sample attaining a maximum keeps it, as in a one-by-one loop.
-        """
-        nonlocal count_filtered
+    # Each batch is folded, in sample order, into the running maxima.  An
+    # argmax moves only to a strictly greater value, so the first sample
+    # attaining a maximum keeps it, as in a one-by-one loop.
+    for moments, tags in batches():
+        solution = solve_moments(*moments, constants)
+        a1, a2 = abs(solution.a_m1), abs(solution.a_2m1)
         i = int(np.argmax(a1))
         if a1[i] > best["u1"]:
             best["u1"] = float(a1[i])
             best["useed"] = tags[i]
         best["u2"] = max(best["u2"], float(np.max(a2)))
-        kept = score <= threshold
+        kept = abs(solution.residuals["addition"]) <= threshold
         if kept.any():
             count_filtered += int(np.count_nonzero(kept))
             a1_kept = np.where(kept, a1, -1.0)
@@ -219,23 +243,6 @@ def sweep_cell(kind, m, param, lam, samples, seed,
                 best["f1"] = float(a1_kept[i])
                 best["fseed"] = tags[i]
             best["f2"] = max(best["f2"], float(np.max(a2[kept])))
-
-    prefix = _subseed(seed, kind, m, param_f, lam_f)
-    for block, start in enumerate(range(0, samples, _BLOCK)):
-        stop = min(start + _BLOCK, samples)
-        solution = solve_moments(
-            *_draw_block(prefix, block, stop - start, constants), constants)
-        record(abs(solution.a_m1), abs(solution.a_2m1),
-               abs(solution.residuals["addition"]),
-               _BlockTags(prefix, start))
-    for i in range(realizable):
-        tag = _subseed(seed, kind, m, param_f, lam_f, "realizable", i)
-        p, q = realizable_pair(tag, spec, backend="float",
-                               atom_count=atom_count)
-        solution = _solve(p, q, spec)
-        record(np.array([abs(complex(solution.a_m1))]),
-               np.array([abs(complex(solution.a_2m1))]),
-               np.array([solution.realizability]), [tag])
 
     b1, b2 = spec.bounds()
     return SearchRecord(

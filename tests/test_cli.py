@@ -472,6 +472,17 @@ def test_search_refuses_zero_atoms_before_drawing():
     assert proc.stdout == ""
 
 
+def test_search_refuses_a_sweep_with_nothing_to_draw():
+    # every cell would be empty and fail, and exit 1 means a failed check
+    proc = run_cli("search", "--kind", "alpha", "--m", "1", "--alpha", "1",
+                   "--lambda", "1", "--samples", "0", "--realizable", "0",
+                   "--no-timestamp", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: search has nothing to draw: --samples "
+                           "and --realizable are both 0\n")
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("flags", [("--mode", "climb"), ("--iterations", "5")],
                          ids=["mode", "iterations"])
 def test_search_refuses_removed_climb_flags(flags):

@@ -1,5 +1,6 @@
 """Sweep records and realizability filtering."""
 
+import functools
 import subprocess
 import sys
 
@@ -9,8 +10,8 @@ import pytest
 from bifold import explore
 from bifold.bounds import structural_ceiling
 from bifold.caratheodory import CaratheodoryFunction, _subseed
-from bifold.derivation import (_solve, class_constants, realizable_pair,
-                               solve_moments)
+from bifold.derivation import (_pair_moments, class_constants,
+                               realizable_pair, solve_moments)
 from bifold.explore import SearchRecord, replay_draw, sweep, sweep_cell
 from bifold.membership import ClassSpec
 
@@ -45,21 +46,28 @@ def test_sweep_cell_without_realizable_seeds_reports_empty():
     assert rec.ceiling_ok and not rec.ok
 
 
+def solved_alone(moments, constants):
+    """(|a_{m+1}|, |a_{2m+1}|, realizability score) of one sample's
+    moments, solved on one-element complex128 arrays."""
+    solution = solve_moments(*(np.array([x], dtype=complex)
+                               for x in moments), constants)
+    # abs of the arrays, as the sweep takes it: numpy's array abs and its
+    # scalar abs can differ in the last bit
+    return (float(abs(solution.a_m1)[0]), float(abs(solution.a_2m1)[0]),
+            float(abs(solution.residuals["addition"])[0]))
+
+
 def replayed(tag, spec, samples):
     """(|a_{m+1}|, realizability score) of the sample tagged ``tag``,
-    replayed as the sweep solved it: a body draw on one-element complex128
-    arrays, a realizable pair alone."""
+    replayed as the sweep solved it, on one-element complex128 arrays:
+    a body draw rebuilt from its block, or a realizable pair."""
     if "realizable" in tag:
         p, q = realizable_pair(tag, spec, backend="float")
-        solution = _solve(p, q, spec)
-        return abs(complex(solution.a_m1)), solution.realizability
-    moments = replay_draw(tag, spec, samples)
-    solution = solve_moments(*(np.array([x]) for x in moments),
-                             class_constants(spec, "float"))
-    # abs of the array, as the sweep takes it: numpy's array abs and its
-    # scalar abs can differ in the last bit
-    return (float(abs(solution.a_m1)[0]),
-            float(abs(solution.residuals["addition"])[0]))
+        moments = _pair_moments(p, q, spec)
+    else:
+        moments = replay_draw(tag, spec, samples)
+    a_m1, _, score = solved_alone(moments, class_constants(spec, "float"))
+    return a_m1, score
 
 
 def test_argmax_seed_reproduces_maximum():
@@ -92,16 +100,46 @@ def test_filtered_argmax_seed_reproduces_maximum():
     assert score <= rec.threshold
 
 
+@pytest.mark.parametrize("kind,param,seed,spec", [
+    ("alpha", 0.5, 0, ClassSpec("arg", m=2, lam=0.25, alpha=0.5)),
+    ("beta", 0.25, 1, ClassSpec("re", m=2, lam=0.25, beta=0.25)),
+])
+def test_realizable_argmax_seed_reproduces_maximum(kind, param, seed, spec):
+    # with no body draw a realizable pair holds both argmaxes; in these
+    # cells a solve and abs on Python complex scalars gives other last bits
+    rec = sweep_cell(kind, 2, param, 0.25, 0, seed=seed, realizable=4)
+    assert rec.filtered_count == 4
+    assert "/realizable/" in rec.argmax_seed
+    a_m1, score = replayed(rec.argmax_seed, spec, 0)
+    assert a_m1 == rec.max_a_m1
+    assert score <= rec.threshold
+    a_m1, _ = replayed(rec.argmax_seed_unfiltered, spec, 0)
+    assert a_m1 == rec.max_a_m1_unfiltered
+
+
 
 # ----------------------------------------------------------------------
 # the block sweep against a one-draw-at-a-time loop
 
 
+@functools.lru_cache(maxsize=16)
+def solved_block(prefix, block, count, spec):
+    """``solved_alone`` of each draw of one block, drawn once with
+    ``explore._draw_block``.  The values depend on neither the atom count,
+    the realizable count nor the threshold, so the cases that share a
+    cell and seed share them."""
+    constants = class_constants(spec, "float")
+    moments = explore._draw_block(prefix, block, count, constants)
+    return [solved_alone([x[offset] for x in moments], constants)
+            for offset in range(count)]
+
+
 def reference_sweep_cell(kind, m, param, lam, samples, seed, atom_count=3,
                          realizable=0,
                          threshold=explore.DEFAULT_REALIZABILITY_THRESHOLD):
-    """sweep_cell as a plain loop: each draw replayed and solved alone,
-    then each realizable pair, folded one sample at a time."""
+    """sweep_cell as a plain loop, folded one sample at a time: each
+    block drawn once and its draws solved alone, then each realizable pair
+    solved alone, all on one-element complex128 arrays."""
     spec = ClassSpec.from_kind(kind, m, param, lam)
     lam_f, param_f = float(lam), float(param)
     best = {"f1": 0.0, "f2": 0.0, "u1": 0.0, "u2": 0.0,
@@ -123,20 +161,16 @@ def reference_sweep_cell(kind, m, param, lam, samples, seed, atom_count=3,
 
     constants = class_constants(spec, "float")
     prefix = _subseed(seed, kind, m, param_f, lam_f)
-    for i in range(samples):
-        tag = f"{prefix}/{i}"
-        moments = replay_draw(tag, spec, samples)
-        solution = solve_moments(*(np.array([x]) for x in moments),
-                                 constants)
-        record(float(abs(solution.a_m1)[0]), float(abs(solution.a_2m1)[0]),
-               float(abs(solution.residuals["addition"])[0]), tag)
+    for block, start in enumerate(range(0, samples, explore._BLOCK)):
+        count = min(explore._BLOCK, samples - start)
+        for offset, values in enumerate(
+                solved_block(prefix, block, count, spec)):
+            record(*values, f"{prefix}/{start + offset}")
     for i in range(realizable):
         tag = _subseed(seed, kind, m, param_f, lam_f, "realizable", i)
         p, q = explore.realizable_pair(tag, spec, backend="float",
                                        atom_count=atom_count)
-        solution = _solve(p, q, spec)
-        record(abs(complex(solution.a_m1)), abs(complex(solution.a_2m1)),
-               solution.realizability, tag)
+        record(*solved_alone(_pair_moments(p, q, spec), constants), tag)
 
     b1, b2 = spec.bounds()
     return SearchRecord(
@@ -254,6 +288,16 @@ def test_sweep_cell_refuses_bad_inputs(case):
     args.update(kwargs)
     with pytest.raises(ValueError, match=f"^{message}"):
         sweep_cell("alpha", 1, 1.0, 1.0, **args)
+
+
+@pytest.mark.parametrize("samples", [2.5, "10", True, -1, None, 10.0],
+                         ids=["float", "text", "bool", "negative", "none",
+                              "whole-float"])
+def test_replay_draw_refuses_bad_samples(samples):
+    spec = ClassSpec("re", m=2, lam=0.5, beta=0.25)
+    rec = sweep_cell("beta", 2, 0.25, 0.5, 10, seed=7)
+    with pytest.raises(ValueError, match="^samples must be an integer >= 0"):
+        replay_draw(rec.argmax_seed_unfiltered, spec, samples)
 
 
 def test_sweep_does_not_load_numpy_random():
