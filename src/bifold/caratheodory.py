@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .series import (EXACT, FLOAT, QComplex, TruncatedSeries, _to_ints,
-                     scalar_types)
+from .series import (EXACT, FLOAT, QComplex, TruncatedSeries, _coerce_scalar,
+                     _to_ints, scalar_types)
 
 __all__ = [
     "CaratheodoryFunction",
@@ -42,7 +42,6 @@ __all__ = [
     "Lemma1Report",
     "zero_moment_base",
     "with_moments",
-    "solve_linear_exact",
 ]
 
 
@@ -230,40 +229,6 @@ def sample_exact(seed, atom_count, m=1) -> CaratheodoryFunction:
 
 
 # ----------------------------------------------------------------------
-# exact linear algebra (small systems)
-
-
-def solve_linear_exact(matrix, rhs):
-    """Gaussian elimination over Fractions; raises on singular systems."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(v)]
-         for row, v in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular linear system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
-def _solve_linear_float(matrix, rhs):
-    import numpy as np
-
-    try:
-        sol = np.linalg.solve(np.asarray(matrix, dtype=float),
-                              np.asarray(rhs, dtype=float))
-    except np.linalg.LinAlgError:
-        raise ZeroDivisionError("singular linear system")
-    return [float(x) for x in sol]
-
-
-# ----------------------------------------------------------------------
 # constrained pairs: p_m = -q_m
 
 
@@ -399,30 +364,14 @@ _BASE_WEIGHTS = (
 
 @functools.cache
 def _base(backend):
-    """The base weights and points in ``backend``'s scalars, and the matrix
-    of ``with_moments``' linear system, built once per backend (a float64
-    array on floats, so numpy loads with the first float call).
-
-    The rows are sum(delta), Re/Im sum(delta*zeta) and Re/Im
-    sum(delta*zeta^2) over the first five points; the sixth weight stays
-    put.
-    """
+    """The base weights and points in ``backend``'s scalars."""
     if backend == EXACT:
-        weights, points = _BASE_WEIGHTS, _BASE_POINTS
-    else:
-        weights = tuple(float(w) for w in _BASE_WEIGHTS)
-        points = tuple(complex(p) for p in _BASE_POINTS)
-    squares = [p * p for p in points[:5]]
-    matrix = [[1] * 5,
-              [p.real for p in points[:5]],
-              [p.imag for p in points[:5]],
-              [p.real for p in squares],
-              [p.imag for p in squares]]
-    if backend != EXACT:
-        import numpy as np
+        return _BASE_WEIGHTS, _BASE_POINTS
+    return (tuple(float(w) for w in _BASE_WEIGHTS),
+            tuple(complex(p) for p in _BASE_POINTS))
 
-        matrix = np.array(matrix, dtype=float)
-    return weights, points, matrix
+
+_SQUARE_4 = _BASE_POINTS[4] * _BASE_POINTS[4]  # (-7 + 24i)/25
 
 
 def zero_moment_base(fold=1, backend=EXACT) -> CaratheodoryFunction:
@@ -431,7 +380,7 @@ def zero_moment_base(fold=1, backend=EXACT) -> CaratheodoryFunction:
     Useful as a neutral carrier: mixing any sample with it scales the first
     two expansion coefficients without leaving the class.
     """
-    weights, points, _ = _base(backend)
+    weights, points = _base(backend)
     return CaratheodoryFunction(zip(weights, points), fold=fold,
                                 backend=backend)
 
@@ -439,23 +388,26 @@ def zero_moment_base(fold=1, backend=EXACT) -> CaratheodoryFunction:
 def with_moments(c1, c2, fold=1, backend=EXACT) -> CaratheodoryFunction:
     """Mixture on the six fixed base points with prescribed atom moments.
 
-    Finds weights w = base + delta with sum(delta) = 0, sum(delta*zeta) = c1
-    and sum(delta*zeta^2) = c2 (so the expansion has p_m = 2*c1 and
-    p_2m = 2*c2).  The 5x5 linear system is solved exactly on the exact
-    backend.  Raises ValueError when a weight would leave [0, 1]; callers
-    shrink the targets and retry.
+    Weights base + delta with sum(delta) = 0, sum(delta*zeta) = c1 and
+    sum(delta*zeta^2) = c2, so p_m = 2*c1 and p_2m = 2*c2; the sixth weight
+    stays put.  In closed form: only zeta_4 has a non-real square, so Im c2
+    fixes delta_4 = d, and the first four deltas are the inverse 4-point DFT
+    of S_0 = -d, S_1 = c1 - d*zeta_4 and S_2 = Re c2 - d*Re zeta_4^2.  The
+    exact backend refuses float targets.  Raises ValueError when a weight
+    would leave [0, 1]; callers shrink the targets and retry.
     """
-    if backend == EXACT:
-        c1, c2 = (c if isinstance(c, QComplex) else QComplex(c)
-                  for c in (c1, c2))
-        solve = solve_linear_exact
-    else:
-        c1, c2 = complex(c1), complex(c2)
-        solve = _solve_linear_float
-    base, pts, matrix = _base(backend)
-    rhs = [0, c1.real, c1.imag, c2.real, c2.imag]
-    delta = solve(matrix, rhs) + [0]
-    weights = [w + d for w, d in zip(base, delta)]
+    c1, c2 = (_coerce_scalar(c, backend) for c in (c1, c2))
+    real, _ = scalar_types(backend)
+    base, points = _base(backend)
+    d = c2.imag / real(_SQUARE_4.imag)
+    s0 = -d
+    s1_re = c1.real - d * points[4].real
+    s1_im = c1.imag - d * points[4].imag
+    s2 = c2.real - d * real(_SQUARE_4.real)
+    delta = ((s0 + s2 + 2 * s1_re) / 4, (s0 - s2 + 2 * s1_im) / 4,
+             (s0 + s2 - 2 * s1_re) / 4, (s0 - s2 - 2 * s1_im) / 4, d, 0)
+    weights = [w + dw for w, dw in zip(base, delta)]
     if any(w < 0 for w in weights):
         raise ValueError("prescribed moments leave the weight simplex")
-    return CaratheodoryFunction(zip(weights, pts), fold=fold, backend=backend)
+    return CaratheodoryFunction(zip(weights, points), fold=fold,
+                                backend=backend)

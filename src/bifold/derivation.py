@@ -32,8 +32,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bounds import RATIO_SLACK
-from .caratheodory import (CaratheodoryFunction, with_moments,
-                           zero_moment_base, _sample, _subseed)
+from .caratheodory import (CaratheodoryFunction, with_moments, _base,
+                           _sample, _subseed)
 from .membership import ClassSpec, phi
 from .series import EXACT, TruncatedSeries, scalar_types
 
@@ -362,11 +362,11 @@ def realizable_pair(seed, spec: ClassSpec, backend=EXACT, atom_count=3):
     real, _ = scalar_types(backend)
     raw = _sample(_subseed(seed, "realizable", spec.kind, m), atom_count, m,
                   backend)
-    base = zero_moment_base(fold=m, backend=backend)
+    base = list(zip(*_base(backend)))  # the zero-moment carrier's atoms
     eps = real(1) / 4
     for _ in range(12):
         atoms = [(w * eps, z) for (w, z) in raw.atoms]
-        atoms += [(w * (1 - eps), z) for (w, z) in base.atoms]
+        atoms += [(w * (1 - eps), z) for (w, z) in base]
         p = CaratheodoryFunction(atoms, fold=m, backend=backend)
         p_m = p.coefficient(1)
         q_2m = c.forced_q_2m(p_m, p.coefficient(2))

@@ -24,7 +24,6 @@ verdict "inconclusive" rather than pass or fail.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -128,15 +127,23 @@ def _phi_of_ratio(ratio: TruncatedSeries, lam) -> TruncatedSeries:
 
 
 def arg_margin(value, spec: ClassSpec) -> float:
-    """alpha*pi/2 - |arg value|, principal branch in (-pi, pi]."""
-    if value == 0:
-        return float("-inf")  # argument undefined: report as violated
-    return float(spec.alpha) * math.pi / 2 - abs(cmath.phase(complex(value)))
+    """alpha*pi/2 - |arg value|, principal branch in (-pi, pi]; -inf at 0."""
+    return _margin(value, spec, "arg")
 
 
 def re_margin(value, spec: ClassSpec) -> float:
     """Re value - beta."""
-    return complex(value).real - float(spec.beta)
+    return _margin(value, spec, "re")
+
+
+def _margin(value, spec, kind):
+    """One point's margin by the grid scan's ``_margins``, to the bit."""
+    import numpy as np
+
+    if spec.kind != kind:
+        raise ValueError(f"{kind}_margin needs a spec of kind {kind!r}, "
+                         f"got {spec.describe()}")
+    return float(_margins(np.asarray(complex(value)), spec))
 
 
 _TAIL_WINDOW = 6

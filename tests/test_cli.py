@@ -297,8 +297,10 @@ def test_importing_bifold_does_not_load_numpy():
     ["caratheodory-sample", "--count", "2"],
     ["caratheodory-sample", "--count", "2", "--exact"],
     ["solve-coeffs"],
+    ["solve-coeffs", "--realizable"],
 ], ids=["bounds", "invert", "verify-inversion", "caratheodory-sample",
-        "caratheodory-sample-exact", "solve-coeffs"])
+        "caratheodory-sample-exact", "solve-coeffs",
+        "solve-coeffs-realizable"])
 def test_exact_commands_do_not_load_numpy(argv):
     code = ("import contextlib, io, sys\n"
             "from bifold.cli import main\n"

@@ -25,6 +25,12 @@ random atom measures to draws from the Caratheodory coefficient body: every
 sampled value and ``argmax_seed`` changed, the filter now holds body draws
 as well as the realizable pairs, and every cell still reads
 ``ceiling_ok`` yes with both ratios at most 1.
+``solve-coeffs-realizable-{alpha,beta}.{csv,json}`` were re-recorded once,
+when ``with_moments`` replaced its float ``numpy.linalg.solve`` with a
+closed form: q's float weights came from a few float operations instead of
+LAPACK's LU, so only digits at the 1e-16 level moved (residual columns and
+``realizability``, and in ``beta.json`` the last digit of ``abs_a_2m1`` and
+``ratio_a_2m1``); p, a_{m+1} and every exact output kept their bits.
 """
 
 import contextlib

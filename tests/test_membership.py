@@ -102,6 +102,26 @@ def test_re_margin_trivials():
         == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("spec", [ClassSpec("arg", m=2, lam=F(1, 2),
+                                            alpha=F(1, 2)),
+                                  ClassSpec("re", m=2, lam=F(1, 2),
+                                            beta=F(1, 4))],
+                         ids=["arg", "re"])
+def test_scalar_margin_is_the_grid_margin_bit_for_bit(spec):
+    margin = arg_margin if spec.kind == "arg" else re_margin
+    report = check_membership(catalog("mfold-log", 2, 40), spec, angles=60)
+    for side in (report.f_report, report.g_report):
+        assert margin(side.witness_value, spec) == side.worst_margin
+    # Phi-like points, where cmath.phase and np.angle can round apart
+    rng = np.random.default_rng(0)
+    values = 1 + 0.8 * (rng.standard_normal(2000)
+                        + 1j * rng.standard_normal(2000)) / math.sqrt(2)
+    grid = membership._margins(values, spec)
+    assert [margin(v, spec) for v in values] == grid.tolist()
+    with pytest.raises(ValueError, match="needs a spec of kind"):
+        (re_margin if spec.kind == "arg" else arg_margin)(1, spec)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ClassSpec("arg", alpha=0)
