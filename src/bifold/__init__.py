@@ -12,7 +12,7 @@ from .bounds import (bound_alpha, bound_beta, corollary_bounds,
                      structural_ceiling, verify_reductions)
 from .caratheodory import (CaratheodoryFunction, Lemma1Report, check_lemma1,
                            constrained_pair, sample, sample_exact,
-                           unimodular_exact, with_moments, zero_moment_base)
+                           unimodular_exact, with_moments)
 from .derivation import (CoefficientSolution, bound_consistency,
                          forward_verify, realizable_pair, solve_alpha,
                          solve_beta)
@@ -31,7 +31,7 @@ __all__ = [
     "CATALOG_NAMES",
     "CaratheodoryFunction", "Lemma1Report", "check_lemma1", "sample",
     "sample_exact", "constrained_pair", "unimodular_exact",
-    "zero_moment_base", "with_moments",
+    "with_moments",
     "ClassSpec", "MembershipReport", "phi", "arg_margin", "re_margin",
     "check_membership",
     "bound_alpha", "bound_beta", "corollary_bounds", "verify_reductions",

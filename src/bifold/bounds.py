@@ -19,13 +19,16 @@ themselves carry a square root and are otherwise float-only.
 
 Parameters outside the stated ranges are rejected, not clamped; the
 ``_check_*`` helpers here are the one home of those ranges, which
-``membership.ClassSpec`` and ``membership.phi`` use too.
+``membership.ClassSpec`` and ``membership.phi`` use too, and
+``_is_integer`` is the one integer rule (an Integral but not a bool) for
+fold orders and for the counts that ``membership`` and ``explore`` take.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Integral
 
 __all__ = [
     "bound_alpha",
@@ -43,8 +46,15 @@ __all__ = [
 RATIO_SLACK = 1e-10
 
 
+def _is_integer(value) -> bool:
+    """An integral count: a bool, though an int, is refused."""
+    # a plain int first: the Integral check is a far slower ABC lookup
+    return type(value) is int or (isinstance(value, Integral)
+                                  and not isinstance(value, bool))
+
+
 def _check_m(m):
-    if not isinstance(m, int) or m < 1:
+    if not _is_integer(m) or m < 1:
         raise ValueError(f"fold order m must be a positive integer, got {m!r}")
 
 

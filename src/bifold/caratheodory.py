@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .series import (EXACT, FLOAT, QComplex, TruncatedSeries, _coerce_scalar,
-                     _to_ints, scalar_types)
+                     _refuse_text, _to_ints, scalar_types)
 
 __all__ = [
     "CaratheodoryFunction",
@@ -40,7 +40,6 @@ __all__ = [
     "constrained_pair",
     "check_lemma1",
     "Lemma1Report",
-    "zero_moment_base",
     "with_moments",
 ]
 
@@ -77,6 +76,7 @@ class CaratheodoryFunction:
             if atoms and sum(w for w, _ in atoms) != 1:
                 raise ValueError("atom weights must sum to 1")
         else:
+            _refuse_text([x for atom in atoms for x in atom])
             atoms = tuple((float(w), complex(z)) for (w, z) in atoms)
             for w, z in atoms:
                 if _negative(w):
@@ -340,7 +340,7 @@ def check_lemma1(p: CaratheodoryFunction, depth=2) -> Lemma1Report:
 
 
 # ----------------------------------------------------------------------
-# a fixed exact mixture with vanishing first and second moments
+# the fixed exact mixture with_moments(0, 0), whose first two moments vanish
 
 
 _BASE_POINTS = (
@@ -372,17 +372,6 @@ def _base(backend):
 
 
 _SQUARE_4 = _BASE_POINTS[4] * _BASE_POINTS[4]  # (-7 + 24i)/25
-
-
-def zero_moment_base(fold=1, backend=EXACT) -> CaratheodoryFunction:
-    """Six-atom mixture whose first and second atom moments vanish exactly.
-
-    Useful as a neutral carrier: mixing any sample with it scales the first
-    two expansion coefficients without leaving the class.
-    """
-    weights, points = _base(backend)
-    return CaratheodoryFunction(zip(weights, points), fold=fold,
-                                backend=backend)
 
 
 def with_moments(c1, c2, fold=1, backend=EXACT) -> CaratheodoryFunction:

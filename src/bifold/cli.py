@@ -36,7 +36,7 @@ from .caratheodory import (CaratheodoryFunction, check_lemma1,
 from .derivation import _solve, bound_consistency, realizable_pair
 from .membership import ClassSpec, check_membership
 from .mfold import CATALOG_NAMES, MFoldFunction, catalog
-from .selftest import check_inversion, run_selftest
+from .selftest import _draw_mfold, check_inversion, run_selftest
 from .series import QComplex
 
 __all__ = ["main"]
@@ -261,7 +261,8 @@ def cmd_verify_inversion(args):
     failures = 0
     for m in _parse_list(args.m, "--m", lambda x: _parse_int(x, "--m")):
         rng = random.Random(f"verify-inversion/{seed}/{m}")
-        results = [check_inversion(rng, m) for _ in range(samples)]
+        results = [check_inversion(_draw_mfold(rng, m))
+                   for _ in range(samples)]
         mismatches = sum(not closed_ok for closed_ok, _ in results)
         identity_bad = sum(not identity_ok for _, identity_ok in results)
         failures += mismatches + identity_bad
@@ -444,7 +445,7 @@ def cmd_search(args):
 
 
 def cmd_selftest(args):
-    return run_selftest(quick=args.quick, stream=sys.stdout)
+    return run_selftest(quick=args.quick)
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,9 @@ else q_m^2/2 + (2 - |p_m|^2/2) y with y uniform on the unit disk.  So every
 sample is a genuine constrained pair of Caratheodory moments.  The sweep
 solves them and tracks the largest observed |a_{m+1}| and |a_{2m+1}|.
 
-Samples whose realizability score (the addition residual) is at most the
-threshold count toward the filtered maxima, which are the ones the class
-bounds apply to: the body draws whose forced q_2m was kept.  The unfiltered
+Samples whose addition residual is at most ``REALIZABILITY_THRESHOLD``
+count toward the filtered maxima, which are the ones the class bounds
+apply to: the body draws whose forced q_2m was kept.  The unfiltered
 maxima run over every draw, so |a_{m+1}| there reaches toward the linear
 ceiling and |a_{2m+1}| stays under B2, which needs no filter.  A cell can
 also mix in constructed realizable atom pairs (``realizable_pair``, shaped
@@ -34,21 +34,19 @@ call on complex128 arrays.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from numbers import Real
 
-from .bounds import RATIO_SLACK, structural_ceiling
+from .bounds import RATIO_SLACK, _is_integer, structural_ceiling
 from .caratheodory import _subseed
 from .derivation import (class_constants, realizable_pair, solve_moments,
                          _pair_moments)
-from .membership import ClassSpec, _is_integer
+from .membership import ClassSpec
 
 __all__ = ["SearchRecord", "sweep_cell", "sweep", "replay_draw",
-           "DEFAULT_REALIZABILITY_THRESHOLD"]
+           "REALIZABILITY_THRESHOLD"]
 
-DEFAULT_REALIZABILITY_THRESHOLD = 1e-8
+REALIZABILITY_THRESHOLD = 1e-8
 # Draws are generated and solved this many at a time, so memory stays flat
 # however many samples a cell takes (a sweep's arrays peak near 2 MB) while
 # numpy's fixed cost per call is paid once per 4096 draws; it also fixes
@@ -75,7 +73,6 @@ class SearchRecord:
     ceiling: float             # linear-relation cap on |a_{m+1}|
     argmax_seed: str           # filtered argmax ("" when the cell is empty)
     argmax_seed_unfiltered: str
-    threshold: float
 
     @property
     def ratio_a_m1(self) -> float:
@@ -167,7 +164,7 @@ def replay_draw(tag, spec: ClassSpec, samples):
     return tuple(complex(x[offset]) for x in moments)
 
 
-def _check_counts(samples, realizable, atom_count, threshold):
+def _check_counts(samples, realizable, atom_count):
     counts = (("samples", samples), ("realizable", realizable),
               ("atom count", atom_count))
     for name, value in counts:
@@ -178,15 +175,10 @@ def _check_counts(samples, realizable, atom_count, threshold):
             raise ValueError(f"{name} must be >= 0, got {value}")
     if atom_count < 1:
         raise ValueError("atom count must be >= 1")
-    if not (isinstance(threshold, Real) and not isinstance(threshold, bool)
-            and math.isfinite(threshold) and threshold >= 0):
-        raise ValueError(
-            f"threshold must be a finite number >= 0, got {threshold!r}")
 
 
 def sweep_cell(kind, m, param, lam, samples, seed,
-               atom_count=3, realizable=0,
-               threshold=DEFAULT_REALIZABILITY_THRESHOLD) -> SearchRecord:
+               atom_count=3, realizable=0) -> SearchRecord:
     """Draw ``samples`` moment sets from the coefficient body for one cell
     and record maxima.
 
@@ -198,7 +190,7 @@ def sweep_cell(kind, m, param, lam, samples, seed,
     """
     import numpy as np
 
-    _check_counts(samples, realizable, atom_count, threshold)
+    _check_counts(samples, realizable, atom_count)
     spec = ClassSpec.from_kind(kind, m, param, lam)
     constants = class_constants(spec, "float")
     lam_f = float(lam)
@@ -234,7 +226,7 @@ def sweep_cell(kind, m, param, lam, samples, seed,
             best["u1"] = float(a1[i])
             best["useed"] = tags[i]
         best["u2"] = max(best["u2"], float(np.max(a2)))
-        kept = abs(solution.residuals["addition"]) <= threshold
+        kept = abs(solution.residuals["addition"]) <= REALIZABILITY_THRESHOLD
         if kept.any():
             count_filtered += int(np.count_nonzero(kept))
             a1_kept = np.where(kept, a1, -1.0)
@@ -252,13 +244,11 @@ def sweep_cell(kind, m, param, lam, samples, seed,
         max_a_m1_unfiltered=best["u1"], max_a_2m1_unfiltered=best["u2"],
         bound_a_m1=b1, bound_a_2m1=b2,
         ceiling=structural_ceiling(spec),
-        argmax_seed=best["fseed"], argmax_seed_unfiltered=best["useed"],
-        threshold=threshold)
+        argmax_seed=best["fseed"], argmax_seed_unfiltered=best["useed"])
 
 
 def sweep(kinds, m_values, params_by_kind, lam_values, samples, seed,
-          atom_count=3, realizable=0,
-          threshold=DEFAULT_REALIZABILITY_THRESHOLD):
+          atom_count=3, realizable=0):
     """Run sweep_cell over the cartesian grid; deterministic in ``seed``.
 
     ``params_by_kind`` maps "alpha"/"beta" to their parameter lists.
@@ -271,7 +261,6 @@ def sweep(kinds, m_values, params_by_kind, lam_values, samples, seed,
                 for lam in lam_values:
                     records.append(sweep_cell(
                         kind, m, param, lam, samples, seed,
-                        atom_count=atom_count, realizable=realizable,
-                        threshold=threshold))
+                        atom_count=atom_count, realizable=realizable))
     return records
 

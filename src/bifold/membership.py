@@ -13,7 +13,7 @@ z f'/f.
 
 Membership is *sampled*, not certified: the functional is evaluated on a
 polar grid for f and for the truncated reversion g, r * exp(2*pi*i*j/A) for
-each radius r in (0, 1) and j < A.  On each circle the truncated series is
+each r of the ten ``RADII`` and j < A.  On each circle the truncated series is
 evaluated at once by an inverse FFT of its scaled coefficients
 (``TruncatedSeries.eval_polar``), which rounds no worse than Horner's rule
 at each point.  Because g only exists as a truncated series, its grid
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 from . import bounds as bounds_mod
 from .mfold import off_shape_exponent
@@ -41,13 +40,14 @@ __all__ = [
     "MembershipReport",
     "SideReport",
     "tail_estimate",
-    "DEFAULT_RADII",
+    "RADII",
     "G_SIDE_RADIUS_CAP",
 ]
 
-DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
+RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
 DEFAULT_ANGLES = 720
 G_SIDE_RADIUS_CAP = 0.7
+_G_RADII = tuple(sorted({min(r, G_SIDE_RADIUS_CAP) for r in RADII}))
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ class ClassSpec:
         if self.kind not in ("arg", "re"):
             raise ValueError(f"kind must be 'arg' or 're', got {self.kind!r}")
         bounds_mod._check_m(self.m)
+        object.__setattr__(self, "m", int(self.m))
         bounds_mod._check_lambda(self.lam)
         if self.kind == "arg":
             bounds_mod._check_alpha(self.alpha)
@@ -253,13 +254,7 @@ def _scan_side(side, phi_series, ratio_series, spec, radii, angles):
                       nonpositive_ratio_points=flagged)
 
 
-def _is_integer(value) -> bool:
-    """An integral count: a bool, though an int, is refused."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
-                     angles=DEFAULT_ANGLES, order=None,
+def check_membership(f, spec: ClassSpec, angles=DEFAULT_ANGLES, order=None,
                      g_order=32) -> MembershipReport:
     """Sample the membership condition for f and its truncated inverse.
 
@@ -269,22 +264,15 @@ def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
     above a series' own order zero-pads the coefficients, which is only
     sound when f really is the polynomial its truncation shows.
 
-    The inverse side runs on radii capped at 0.7 and at a moderate
-    truncation (``g_order``): reversion amplifies cancellation, so high
-    float orders are noise, while the capped radius makes modest orders
-    accurate.  When f is exact the reversion itself is done exactly.
+    f is scanned on ``RADII``, its inverse on those capped at 0.7 and at
+    a moderate truncation (``g_order``): reversion amplifies cancellation,
+    so high float orders are noise, while the capped radius makes modest
+    orders accurate.  When f is exact the reversion itself is done exactly.
     Every margin is compared against the geometric tail estimate; margins
     inside the estimate give "inconclusive".
     """
-    import numpy as np
-
-    given, radii = radii, tuple(radii) if np.iterable(radii) else ()
-    if not radii or not all(isinstance(r, Real) and not isinstance(r, bool)
-                            and 0 < r < 1 for r in radii):
-        raise ValueError("radii must be a nonempty sequence of numbers in "
-                         f"(0, 1), got {given!r}")
     for name, value in (("angles", angles), ("g_order", g_order)):
-        if not (_is_integer(value) and value >= 1):
+        if not (bounds_mod._is_integer(value) and value >= 1):
             raise ValueError(
                 f"{name} must be a positive integer, got {value!r}")
     if hasattr(f, "to_series"):
@@ -307,8 +295,7 @@ def check_membership(f, spec: ClassSpec, radii=DEFAULT_RADII,
     ratio_f, ratio_g = _log_derivative(f), _log_derivative(g)
     phi_f = _phi_of_ratio(ratio_f, spec.lam)
     phi_g = _phi_of_ratio(ratio_g, spec.lam)
-    g_radii = sorted({min(r, G_SIDE_RADIUS_CAP) for r in radii})
-    f_report = _scan_side("f", phi_f, ratio_f, spec, radii, angles)
-    g_report = _scan_side("g", phi_g, ratio_g, spec, tuple(g_radii), angles)
+    f_report = _scan_side("f", phi_f, ratio_f, spec, RADII, angles)
+    g_report = _scan_side("g", phi_g, ratio_g, spec, _G_RADII, angles)
     return MembershipReport(spec=spec, f_report=f_report, g_report=g_report,
                             order=f.order)

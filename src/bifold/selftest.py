@@ -2,8 +2,9 @@
 
 Each suite takes its sizes and seed prefix as arguments.  ``selftest``
 runs them at the sizes in ``_QUICK`` or ``_FULL``, and the acceptance
-tests run them at their own, larger sizes.  A check that only those
-larger runs need is switched off here by a size of zero or an empty list.
+tests run them at their own, larger sizes.  A size sets only how many
+draws, cells or rays a check covers: every check runs at every size, so
+``selftest`` runs each check the acceptance tests run.
 
 Every suite runs on fixed seeds, so two invocations print the same bytes
 (nothing time- or platform-dependent is emitted).  A failing check reports
@@ -53,46 +54,44 @@ def _draw_mfold(rng, m):
                              for _ in range(3)])
 
 
-def check_inversion(rng, m):
-    """Draw one m-fold function from ``rng`` and check its inverse exactly.
+def check_inversion(fn):
+    """Check the inverse of the m-fold function ``fn`` exactly.
 
     Returns (closed_ok, identity_ok): the closed-form inverse coefficients
     equal the reversion route's, and f(g(z)) = z through order 3m+2.
     """
-    fn = _draw_mfold(rng, m)
-    f = fn.to_series(3 * m + 2)  # the order inverse_by_reversion reverts
+    f = fn.to_series(3 * fn.m + 2)  # the order inverse_by_reversion reverts
     g = f.revert()
     closed_ok = (fn.inverse_closed_form().as_tuple()
                  == fn._read_inverse(g).as_tuple())
     comp = f.compose(g)
-    identity_ok = comp.order == 3 * m + 2 and all(
+    identity_ok = comp.order == f.order and all(
         comp.coeff(n) == (1 if n == 1 else 0) for n in range(comp.order + 1))
     return closed_ok, identity_ok
 
 
-def suite_inverse(m_values, per_m, seed, patterns=0,
-                  pattern_seed="") -> _Suite:
+def suite_inverse(m_values, per_m, seed) -> _Suite:
     """``check_inversion`` on ``per_m`` draws from ``{seed}/{m}`` per m.
 
-    ``patterns`` one-fold draws from ``pattern_seed`` are also checked
-    against the printed inverse pattern (-a2, 2a2^2 - a3, ...).
+    Each one-fold draw is also checked against the printed inverse
+    pattern (-a2, 2a2^2 - a3, -(5a2^3 - 5a2a3 + a4)).
     """
     suite = _Suite("inverse-coefficients")
     for m in m_values:
         rng = random.Random(f"{seed}/{m}")
         for i in range(per_m):
-            closed_ok, identity_ok = check_inversion(rng, m)
+            fn = _draw_mfold(rng, m)
+            closed_ok, identity_ok = check_inversion(fn)
             suite.check(closed_ok,
                         f"closed/reversion mismatch at m={m} sample={i}")
             suite.check(identity_ok,
                         f"compose identity failed at m={m} sample={i}")
-    rng = random.Random(pattern_seed)
-    for i in range(patterns):
-        fn = _draw_mfold(rng, 1)
-        a2, a3, a4 = fn.coeffs
-        suite.check(fn.inverse_closed_form().as_tuple() == (
-            -a2, 2 * a2 ** 2 - a3, -(5 * a2 ** 3 - 5 * a2 * a3 + a4)),
-            f"one-fold pattern mismatch at draw={i}")
+            if m == 1:
+                a2, a3, a4 = fn.coeffs
+                suite.check(fn.inverse_closed_form().as_tuple() == (
+                    -a2, 2 * a2 ** 2 - a3,
+                    -(5 * a2 ** 3 - 5 * a2 * a3 + a4)),
+                    f"one-fold pattern mismatch at sample={i}")
     return suite
 
 
@@ -137,14 +136,13 @@ def suite_lemma(count, seed) -> _Suite:
     return suite
 
 
-def suite_derivation(constrained, realizable, seed,
-                     realizable_seed=None) -> _Suite:
+def suite_derivation(constrained, realizable, seed) -> _Suite:
     """Exact residuals and bound ratios of solved pairs, per class cell.
 
     Each cell takes ``constrained`` seeded pairs tagged
     ``{seed}/{kind}/{m}/{lam}/{i}`` and ``realizable`` constructed pairs
-    tagged the same way from ``realizable_seed`` (default ``seed``).  The
-    first realizable pair of a cell is also expanded by ``forward_verify``.
+    tagged the same way.  The first realizable pair of a cell is also
+    expanded by ``forward_verify``.
     """
     suite = _Suite("derivation-residuals")
     params = {"alpha": Fraction(1, 2), "beta": Fraction(1, 4)}
@@ -164,7 +162,7 @@ def suite_derivation(constrained, realizable, seed,
                                 f"nonzero constructed residual or filtered "
                                 f"bound ratio above 1 at {tag}")
                 for i in range(realizable):
-                    tag = f"{realizable_seed or seed}/{cell}/{i}"
+                    tag = f"{seed}/{cell}/{i}"
                     pr, qr = realizable_pair(tag, spec, backend="exact")
                     solr = _solve(pr, qr, spec)
                     zero = all(complex(v) == 0
@@ -180,14 +178,14 @@ def suite_derivation(constrained, realizable, seed,
     return suite
 
 
-def suite_membership(specs, angles, geo_order, geo_angles,
-                     guard_betas=()) -> _Suite:
+def suite_membership(specs, angles, geo_order, geo_angles) -> _Suite:
     """Known verdicts of the sampled membership check.
 
     The identity passes every spec in ``specs`` on ``angles`` rays.  z/(1-z)
     to order ``geo_order`` passes Re > 2/5 and fails Re > 3/5 with a
-    witness, on ``geo_angles`` rays.  For each beta in ``guard_betas`` an
-    order-8 inverse whose margin lies inside its tail is inconclusive.
+    witness, on ``geo_angles`` rays.  At betas 1/2, 11/20 and 23/40, near
+    the worst Re Phi of its order-8 inverse, a g-side margin inside the
+    tail estimate reads inconclusive.
     """
     suite = _Suite("membership-sanity")
     ident = TruncatedSeries.identity(12)
@@ -203,7 +201,7 @@ def suite_membership(specs, angles, geo_order, geo_angles,
                            angles=geo_angles)
     suite.check(bad.verdict == "fail", "z/(1-z) passed at beta=0.6")
     suite.check(bad.f_report.worst_margin < 0, "failure without a witness")
-    for beta in guard_betas:
+    for beta in (Fraction(1, 2), Fraction(11, 20), Fraction(23, 40)):
         side = check_membership(catalog("geometric", 1, 60),
                                 ClassSpec("re", beta=beta), angles=geo_angles,
                                 g_order=8).g_report
@@ -266,13 +264,13 @@ _FULL = {
 }
 
 
-def run_selftest(quick=False, stream=None) -> int:
-    """Run every suite and report to ``stream`` (default stdout).
+def run_selftest(quick=False) -> int:
+    """Run every suite and report to stdout.
 
     Each suite's wall time goes to stderr as ``<suite>: <seconds> s``, so
     the report itself stays byte-identical from run to run.
     """
-    stream = stream or sys.stdout
+    write = sys.stdout.write
     failed = False
     for run, sizes in (_QUICK if quick else _FULL).items():
         start = time.perf_counter()
@@ -280,12 +278,12 @@ def run_selftest(quick=False, stream=None) -> int:
         sys.stderr.write(
             f"{suite.name}: {time.perf_counter() - start:.3f} s\n")
         if suite.ok:
-            stream.write(f"{suite.name}: PASS ({suite.checks} checks)\n")
+            write(f"{suite.name}: PASS ({suite.checks} checks)\n")
         else:
             failed = True
-            stream.write(f"{suite.name}: FAIL "
-                         f"({len(suite.failures)}/{suite.checks} checks)\n")
+            write(f"{suite.name}: FAIL "
+                  f"({len(suite.failures)}/{suite.checks} checks)\n")
             for detail in suite.failures[:5]:
-                stream.write(f"  {detail}\n")
-    stream.write("selftest: FAIL\n" if failed else "selftest: PASS\n")
+                write(f"  {detail}\n")
+    write("selftest: FAIL\n" if failed else "selftest: PASS\n")
     return 1 if failed else 0

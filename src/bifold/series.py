@@ -220,7 +220,17 @@ def _coerce_scalar(value, backend):
             return Fraction(value)
         raise TypeError(f"exact backend cannot hold {value!r}; "
                         "use Fraction or QComplex values")
+    _refuse_text((value,))
     return complex(value)
+
+
+def _refuse_text(values):
+    """Refuse str and bytes, which ``float()`` and ``complex()`` would
+    parse; one check per distinct type keeps the float constructors fast."""
+    for kind in set(map(type, values)):
+        if issubclass(kind, (str, bytes)):
+            text = next(v for v in values if isinstance(v, kind))
+            raise TypeError(f"float backend cannot hold {text!r}")
 
 
 # Exact kernels on integers.  A Fraction operation pays a gcd on every term;
@@ -471,6 +481,8 @@ class TruncatedSeries:
         if backend == EXACT:
             coeffs = tuple(_coerce_scalar(c, backend) for c in coeffs)
         else:
+            coeffs = tuple(coeffs)
+            _refuse_text(coeffs)
             coeffs = tuple(map(complex, coeffs))
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")

@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bifold.caratheodory import (CaratheodoryFunction, _moment, _negative,
-                                 _off_circle, _off_simplex, check_lemma1,
-                                 constrained_pair, sample, sample_exact,
-                                 unimodular_exact, with_moments,
-                                 zero_moment_base)
+from bifold.caratheodory import (CaratheodoryFunction, _base, _moment,
+                                 _negative, _off_circle, _off_simplex,
+                                 check_lemma1, constrained_pair, sample,
+                                 sample_exact, unimodular_exact, with_moments)
 from bifold.series import QComplex
 
 F = Fraction
@@ -66,12 +65,25 @@ def test_constant_one_function():
     assert report.ok and report.second_lhs == 0.0
 
 
-@pytest.mark.parametrize("fold", [2.5, 0])
+@pytest.mark.parametrize("fold", [2.5, 0, True])
 def test_fold_order_must_be_a_positive_integer(fold):
-    # 2.5 used to build a fold-2 function
+    # 2.5 used to build a fold-2 function, and True a fold-1 one
     with pytest.raises(ValueError, match="^fold order m must be a positive "
                                          f"integer, got {fold!r}$"):
         CaratheodoryFunction([(1, ONE)], fold=fold)
+
+
+@pytest.mark.parametrize("build,text", [
+    (lambda: CaratheodoryFunction([("1", "1")], backend="float"), "'1'"),
+    (lambda: CaratheodoryFunction([("1", 1)]), "'1'"),
+    (lambda: CaratheodoryFunction([(1.0, b"1")], backend="float"), "b'1'"),
+    (lambda: with_moments("0.01", "0.02j", backend="float"), "'0.01'"),
+], ids=["float-atom", "inferred-backend", "bytes-point", "with-moments"])
+def test_float_backend_refuses_text(build, text):
+    # float() and complex() would parse the text as a number
+    with pytest.raises(TypeError, match=f"^float backend cannot hold "
+                       f"{text}$"):
+        build()
 
 
 def test_constructor_invariants():
@@ -208,7 +220,7 @@ def test_constrained_pair_deterministic():
 
 def test_self_negating_zero_moment():
     # p with p_m = 0 pairs with itself
-    p = zero_moment_base()
+    p = with_moments(0, 0)
     assert p.coefficient(1) + p.coefficient(1) == QComplex(0)
 
 
@@ -217,7 +229,12 @@ def test_self_negating_zero_moment():
 
 
 def test_zero_moment_base_moments():
-    base = zero_moment_base()
+    # with_moments(0, 0) is the base mixture itself, on both backends
+    for backend in ("exact", "float"):
+        fn = with_moments(0, 0, fold=3, backend=backend)
+        assert fn.atoms == tuple(zip(*_base(backend)))
+        assert fn.fold == 3
+    base = with_moments(0, 0)
     points = [z for _, z in base.atoms]
     # the closed form of with_moments rests on this layout: the fourth roots
     # of unity, then a conjugate pair
@@ -252,7 +269,7 @@ def reference_weights(c1, c2):
     """The base weights plus the solution of the 5x5 moment system by
     Gauss-Jordan elimination over Fractions, the sixth weight held fixed:
     the solver that the closed form replaced."""
-    base, points = zip(*zero_moment_base().atoms)
+    base, points = zip(*with_moments(0, 0).atoms)
     points = points[:5]
     rows = [[F(1)] * 5 + [F(0)],
             [z.re for z in points] + [c1.re],
@@ -331,7 +348,7 @@ def reference_moment(atoms, k):
     return acc + acc
 
 
-BASE_POINTS = [z for _, z in zero_moment_base().atoms]
+BASE_POINTS = [z for _, z in with_moments(0, 0).atoms]
 # small and large pairwise coprime denominators of tangent-half parameters
 DENOMINATORS = [1, 2, 3, 7, 11, 2 ** 31 - 1, 10 ** 9 + 7, 5 ** 13]
 
@@ -366,7 +383,7 @@ def test_exact_moments_match_the_iterated_qcomplex_loop(raw, data):
 def test_exact_moments_of_special_atom_sets(k):
     empty = _moment((), k, QComplex)
     assert empty == QComplex(0) and type(empty) is QComplex
-    base = zero_moment_base()
+    base = with_moments(0, 0)
     assert base.coefficient(k) == reference_moment(base.atoms, k)
     # integer points only, so no imaginary numerators at all
     real = [(F(1, 3), ONE), (F(2, 3), -ONE)]

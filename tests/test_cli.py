@@ -360,11 +360,9 @@ def test_selftest_quick_under_budget():
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_selftest_catches_injected_sign_fault(monkeypatch):
+def test_selftest_catches_injected_sign_fault(monkeypatch, capsys):
     # flip the sign of the first inverse coefficient: the inverse suite
     # must fail, name itself, and flip the exit code
-    import io
-
     from bifold import mfold, selftest
     from bifold.mfold import InverseCoefficients
 
@@ -375,11 +373,35 @@ def test_selftest_catches_injected_sign_fault(monkeypatch):
         return InverseCoefficients(inv.m, -inv.b_m1, inv.b_2m1, inv.b_3m1)
 
     monkeypatch.setattr(mfold.MFoldFunction, "inverse_closed_form", corrupted)
-    stream = io.StringIO()
-    code = selftest.run_selftest(quick=True, stream=stream)
-    out = stream.getvalue()
+    code = selftest.run_selftest(quick=True)
+    out = capsys.readouterr().out
     assert code == 1
     assert "inverse-coefficients: FAIL" in out
+    assert out.endswith("selftest: FAIL\n")
+
+
+def test_selftest_catches_a_pass_inside_the_tail(monkeypatch, capsys):
+    # a scan that reads "pass" where a margin lies inside the tail
+    # estimate, as ``elif True:`` in place of ``elif all_clear:`` would:
+    # the quick selftest's guard betas must catch it
+    import dataclasses
+
+    from bifold import membership, selftest
+
+    scan_side = membership._scan_side
+
+    def no_inconclusive(*args):
+        side = scan_side(*args)
+        if side.verdict == "inconclusive":
+            side = dataclasses.replace(side, verdict="pass")
+        return side
+
+    monkeypatch.setattr(membership, "_scan_side", no_inconclusive)
+    code = selftest.run_selftest(quick=True)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "membership-sanity: FAIL" in out
+    assert "margin inside the tail read pass" in out
     assert out.endswith("selftest: FAIL\n")
 
 

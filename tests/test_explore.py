@@ -31,10 +31,11 @@ def test_sweep_cell_respects_ceiling_and_ratio():
     assert rec.filtered_count >= 10
 
 
-def test_sweep_cell_without_realizable_seeds_reports_empty():
-    # body draws whose forced q_2m lies in the body fill the filter alone
-    rec = sweep_cell("beta", 1, 0.0, 1.0, 300, seed=5, realizable=0,
-                     threshold=1e-14)
+def test_sweep_cell_without_realizable_seeds_reports_empty(monkeypatch):
+    # body draws whose forced q_2m lies in the body fill the filter alone,
+    # even under a threshold a million times tighter
+    monkeypatch.setattr(explore, "REALIZABILITY_THRESHOLD", 1e-14)
+    rec = sweep_cell("beta", 1, 0.0, 1.0, 300, seed=5, realizable=0)
     assert rec.filtered_count > 0 and rec.argmax_seed != ""
     assert 0 < rec.ratio_a_m1 <= 1 + 1e-10
     assert rec.ok
@@ -97,7 +98,7 @@ def test_filtered_argmax_seed_reproduces_maximum():
     spec = ClassSpec("arg", m=2, lam=0.25, alpha=0.5)
     a_m1, score = replayed(rec.argmax_seed, spec, 300)
     assert a_m1 == rec.max_a_m1
-    assert score <= rec.threshold
+    assert score <= explore.REALIZABILITY_THRESHOLD
 
 
 @pytest.mark.parametrize("kind,param,seed,spec", [
@@ -112,7 +113,7 @@ def test_realizable_argmax_seed_reproduces_maximum(kind, param, seed, spec):
     assert "/realizable/" in rec.argmax_seed
     a_m1, score = replayed(rec.argmax_seed, spec, 0)
     assert a_m1 == rec.max_a_m1
-    assert score <= rec.threshold
+    assert score <= explore.REALIZABILITY_THRESHOLD
     a_m1, _ = replayed(rec.argmax_seed_unfiltered, spec, 0)
     assert a_m1 == rec.max_a_m1_unfiltered
 
@@ -135,11 +136,12 @@ def solved_block(prefix, block, count, spec):
 
 
 def reference_sweep_cell(kind, m, param, lam, samples, seed, atom_count=3,
-                         realizable=0,
-                         threshold=explore.DEFAULT_REALIZABILITY_THRESHOLD):
+                         realizable=0):
     """sweep_cell as a plain loop, folded one sample at a time: each
     block drawn once and its draws solved alone, then each realizable pair
-    solved alone, all on one-element complex128 arrays."""
+    solved alone, all on one-element complex128 arrays.  The filter reads
+    ``explore.REALIZABILITY_THRESHOLD`` when called, as the sweep does."""
+    threshold = explore.REALIZABILITY_THRESHOLD
     spec = ClassSpec.from_kind(kind, m, param, lam)
     lam_f, param_f = float(lam), float(param)
     best = {"f1": 0.0, "f2": 0.0, "u1": 0.0, "u2": 0.0,
@@ -180,8 +182,7 @@ def reference_sweep_cell(kind, m, param, lam, samples, seed, atom_count=3,
         max_a_m1_unfiltered=best["u1"], max_a_2m1_unfiltered=best["u2"],
         bound_a_m1=b1, bound_a_2m1=b2,
         ceiling=structural_ceiling(spec),
-        argmax_seed=best["fseed"], argmax_seed_unfiltered=best["useed"],
-        threshold=threshold)
+        argmax_seed=best["fseed"], argmax_seed_unfiltered=best["useed"])
 
 
 def batched_cases():
@@ -200,14 +201,16 @@ def batched_cases():
 
 @pytest.mark.parametrize("kind,param", [("alpha", 0.5), ("beta", 0.25)])
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_batched_sweep_equals_one_pair_at_a_time(kind, param, m):
+def test_batched_sweep_equals_one_pair_at_a_time(kind, param, m,
+                                                 monkeypatch):
     for atom_count, samples, realizable, threshold, seed in batched_cases():
+        # the threshold is a module constant; each case sets it for both
+        monkeypatch.setattr(explore, "REALIZABILITY_THRESHOLD", threshold)
         args = (kind, m, param, 0.5, samples, seed)
-        kwargs = dict(atom_count=atom_count, realizable=realizable,
-                      threshold=threshold)
+        kwargs = dict(atom_count=atom_count, realizable=realizable)
         # dataclass equality: every float bit and every tag
         assert sweep_cell(*args, **kwargs) == \
-            reference_sweep_cell(*args, **kwargs), (args, kwargs)
+            reference_sweep_cell(*args, **kwargs), (args, kwargs, threshold)
 
 
 def _broken_pairs(fault):
@@ -266,11 +269,6 @@ def test_negative_counts_are_refused(count):
 
 
 BAD_INPUTS = {  # id: (call, the start of the refusal)
-    "threshold-nan": (dict(threshold=float("nan")), "threshold must be"),
-    "threshold-negative": (dict(threshold=-1.0), "threshold must be"),
-    "threshold-inf": (dict(threshold=float("inf")), "threshold must be"),
-    "threshold-bool": (dict(threshold=True), "threshold must be"),
-    "threshold-text": (dict(threshold="0"), "threshold must be"),
     "samples-float": (dict(samples=2.5), "samples must be an integer"),
     "samples-bool": (dict(samples=True), "samples must be an integer"),
     "realizable-float": (dict(realizable=1.0), "realizable must be an integer"),

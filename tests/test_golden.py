@@ -31,6 +31,11 @@ closed form: q's float weights came from a few float operations instead of
 LAPACK's LU, so only digits at the 1e-16 level moved (residual columns and
 ``realizability``, and in ``beta.json`` the last digit of ``abs_a_2m1`` and
 ``ratio_a_2m1``); p, a_{m+1} and every exact output kept their bits.
+``selftest-{quick,full}.txt`` were re-recorded once, when the selftest
+sizes stopped switching checks off: the one-fold inverse pattern now runs
+on every one-fold draw and the inconclusive guard at its three betas, so
+only two check counts moved (inverse-coefficients 48 → 54 and 240 → 260,
+membership-sanity 11 → 14) and every line still reads PASS.
 """
 
 import contextlib

@@ -76,14 +76,14 @@ def test_closed_form_equals_reversion_random(m):
 
 
 def test_check_inversion_reverts_once(monkeypatch):
-    from bifold.selftest import check_inversion
+    from bifold.selftest import _draw_mfold, check_inversion
 
     orders = []
     revert = TruncatedSeries.revert
     monkeypatch.setattr(TruncatedSeries, "revert",
                         lambda self: orders.append(self.order) or revert(self))
-    assert check_inversion(random.Random("mfold/revert-once"), 3) == \
-        (True, True)
+    fn = _draw_mfold(random.Random("mfold/revert-once"), 3)
+    assert check_inversion(fn) == (True, True)
     assert orders == [11]  # one reversion at order 3m + 2
 
 
@@ -95,12 +95,19 @@ def test_reverted_series_keeps_symmetry():
             assert g.coeff(n) == 0
 
 
-@pytest.mark.parametrize("m", [2.5, 0])
+@pytest.mark.parametrize("m", [2.5, 0, True])
 def test_fold_order_must_be_a_positive_integer(m):
-    # 2.5 used to build a fold-2 function
+    # 2.5 used to build a fold-2 function, and True a fold-1 one
     with pytest.raises(ValueError, match="^fold order m must be a positive "
                                          f"integer, got {m!r}$"):
         MFoldFunction(m, [1, 0, 0])
+
+
+def test_fold_order_may_be_a_numpy_integer():
+    import numpy as np
+
+    fn = MFoldFunction(np.int64(2), [1, 0, 0])
+    assert type(fn.m) is int and fn.m == 2
 
 
 def test_depth_requirement():

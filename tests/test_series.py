@@ -4,6 +4,7 @@ import cmath
 import math
 import operator
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -87,6 +88,30 @@ def test_unknown_backend_word_is_refused(build):
     with pytest.raises(ValueError, match="^backend must be 'exact' or "
                        "'float', got 'exakt'$"):
         build()
+
+
+@pytest.mark.parametrize("build,text", [
+    (lambda: TruncatedSeries.floating(["0", "1", "0.5"]), "'0'"),
+    (lambda: TruncatedSeries.floating([0, 1, b"0.5"]), "b'0.5'"),
+    (lambda: TruncatedSeries.floating(iter([0, 1, np.str_("2")])),
+     "np.str_('2')"),
+    (lambda: TruncatedSeries.floating([0, 1]) + "0.5", "'0.5'"),
+    (lambda: TruncatedSeries.floating([0, 1]) * b"2", "b'2'"),
+], ids=["str", "bytes", "str-subclass", "scalar-str", "scalar-bytes"])
+def test_float_backend_refuses_text(build, text):
+    # complex() would parse the str; the exact backend refuses both too
+    with pytest.raises(TypeError, match=f"^float backend cannot hold "
+                       f"{re.escape(text)}$"):
+        build()
+
+
+def test_float_backend_takes_every_number_type():
+    values = [0, 1, 0.5, Fraction(1, 4), 1 - 2j, np.float64(-0.0),
+              np.complex128(3j), QComplex(Fraction(1, 2), 1)]
+    assert TruncatedSeries.floating(values).coeffs == tuple(
+        map(complex, values))
+    assert TruncatedSeries.floating(np.array([0, 1, 2j])).coeffs == \
+        (0j, 1 + 0j, 2j)
 
 
 def test_negative_truncation_order_is_an_error():
