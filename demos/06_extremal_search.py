@@ -6,9 +6,11 @@ parameter cell from the Caratheodory coefficient body, with q_m = -p_m,
 and solve the coefficient system for each.  Where the q_2m that the
 addition relation forces lies in the body, the draw satisfies the full
 (overdetermined) system: it passes the realizability filter and must
-respect the class bounds.  For every other draw only the coarser linear
-ceiling 4*lambda*t/(m(1+lambda)) applies.  The achieved/bound ratios
-quantify how much slack the sampled data leaves.  Two exact constructions then reach the two caps: the
+respect the class bounds.  A cell's realizable draws scale p_m and p_2m
+by 1/4 first, which always keeps the forced q_2m.  For every other draw
+only the coarser linear ceiling 4*lambda*t/(m(1+lambda)) applies.  The
+achieved/bound ratios quantify how much slack the sampled data leaves.
+Two exact constructions then reach the two caps: the
 single-atom pair p = delta(1), q = delta(-1) attains the linear ceiling,
 and at alpha = 1, lambda = 1/2 a two-atom pair attains the arg-type bound
 B1 with every equation of the coefficient system holding exactly.  Both
@@ -24,7 +26,7 @@ from bifold.bounds import bound_alpha_exact
 
 ONE = QComplex(1)
 
-print("sweep (2000 samples + 25 constructed realizable pairs per cell):")
+print("sweep (2000 samples + 25 realizable draws per cell):")
 print(f"{'kind':>5} {'m':>2} {'lam':>5}  {'filtered max/B1':>15} "
       f"{'unfiltered max':>14} {'ceiling':>8} {'ok':>3}")
 for kind, param in (("alpha", 1.0), ("beta", 0.0)):

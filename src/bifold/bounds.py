@@ -59,17 +59,17 @@ def _check_m(m):
 
 
 def _check_alpha(alpha):
-    if alpha is None or not 0 < alpha <= 1:
+    if alpha is None or isinstance(alpha, bool) or not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 def _check_beta(beta):
-    if beta is None or not 0 <= beta < 1:
+    if beta is None or isinstance(beta, bool) or not 0 <= beta < 1:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
 
 
 def _check_lambda(lam):
-    if not 0 < lam <= 1:
+    if isinstance(lam, bool) or not 0 < lam <= 1:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
 
 

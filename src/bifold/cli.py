@@ -418,7 +418,7 @@ def cmd_search(args):
     realizable = _parse_int(args.realizable, "--realizable")
     records = explore.sweep(
         kinds, m_values, params, lam_values, samples, _parse_seed(args.seed),
-        atom_count=_parse_int(args.atoms, "--atoms"), realizable=realizable)
+        realizable=realizable)
     if samples == 0 and realizable == 0:
         # refused once the sweep has checked every count: an empty cell
         # can only fail, and exit 1 means a failed check
@@ -555,9 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
                "addition relation forces it where that value lies in the "
                "body, else uniformly; the filtered columns keep the samples "
                "whose addition residual is negligible, the unfiltered ones "
-               "run over every sample; --atoms shapes only the "
-               "--realizable atom pairs; ceiling is the closed-form linear "
-               "cap 4*lambda*t/(m*(1+lambda)) on |a_{m+1}| (t = alpha or "
+               "run over every sample; --realizable draws scale p_m and "
+               "p_2m by 1/4 before q is formed, so the forced q_2m is "
+               "always kept; ceiling is the closed-form linear cap "
+               "4*lambda*t/(m*(1+lambda)) on |a_{m+1}| (t = alpha or "
                "1-beta), and a single atom attains it")
     p.add_argument("--kind", choices=("alpha", "beta", "both"),
                    default="both")
@@ -567,9 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default="1/4,1/2,1")
     p.add_argument("--samples", default="200")
     p.add_argument("--seed", default="0")
-    p.add_argument("--atoms", default="3")
     p.add_argument("--realizable", default="5",
-                   help="constructed realizable pairs per cell")
+                   help="realizable draws per cell")
     _add_common(p)
     p.set_defaults(func=cmd_search)
 

@@ -196,10 +196,10 @@ def solve_moments(p_m, p_2m, q_m, q_2m,
 _GAP_TOL = 1e-12  # float moment constraint: |p_m + q_m| <= tol max(1, |p_m|)
 
 
-def _pair_moments(p: CaratheodoryFunction, q: CaratheodoryFunction,
-                  spec: ClassSpec):
-    """(p_m, p_2m, q_m, q_2m) of a pair, once p and q share a backend,
-    their fold is the spec's m and p_m + q_m = 0 (exactly, or to
+def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
+           spec: ClassSpec) -> CoefficientSolution:
+    """Solve the system of ``spec`` for a pair, once p and q share a
+    backend, their fold is the spec's m and p_m + q_m = 0 (exactly, or to
     ``_GAP_TOL`` on floats)."""
     if p.backend != q.backend:
         raise ValueError("p and q must share a backend")
@@ -215,12 +215,7 @@ def _pair_moments(p: CaratheodoryFunction, q: CaratheodoryFunction,
     elif abs(gap) > _GAP_TOL and abs(gap) > _GAP_TOL * abs(p_m):
         raise ValueError(
             f"moment constraint violated: |p_m + q_m| = {abs(gap)}")
-    return p_m, p_2m, q_m, q_2m
-
-
-def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
-           spec: ClassSpec) -> CoefficientSolution:
-    return solve_moments(*_pair_moments(p, q, spec),
+    return solve_moments(p_m, p_2m, q_m, q_2m,
                          class_constants(spec, p.backend))
 
 

@@ -19,17 +19,17 @@ count toward the filtered maxima, which are the ones the class bounds
 apply to: the body draws whose forced q_2m was kept.  The unfiltered
 maxima run over every draw, so |a_{m+1}| there reaches toward the linear
 ceiling and |a_{2m+1}| stays under B2, which needs no filter.  A cell can
-also mix in constructed realizable atom pairs (``realizable_pair``, shaped
-by ``atom_count``).
+also take ``realizable`` draws: body draws whose p_m and p_2m are scaled
+by 1/4 before q is formed, so that the forced q_2m is always kept.
 
-Draws come in blocks of ``_BLOCK``.  Block b reads its uniforms from one
-stream seeded with ``f"{prefix}/{b}"``, six per draw, and is solved with
-one ``solve_moments`` call on complex128 arrays.  A sample's
-``argmax_seed`` is ``f"{prefix}/{i}"``; ``replay_draw`` rebuilds the
-moments of draw i from its whole block, so they carry the block's bits.
-The realizable pairs are built and checked one by one, in order, and
-their moments are then solved together by one more ``solve_moments``
-call on complex128 arrays.
+A cell draws two sequences, its body draws under ``prefix`` and its
+realizable draws under ``f"{prefix}/realizable"``, each in blocks of
+``_BLOCK``.  Block b of a sequence reads its uniforms from one stream
+seeded with ``f"{sequence}/{b}"``, six per draw, and is solved with one
+``solve_moments`` call on complex128 arrays.  Draw i of a sequence is
+tagged ``f"{sequence}/{i}"``, the form an ``argmax_seed`` takes;
+``replay_draw`` rebuilds its moments from its whole block, so they carry
+the block's bits.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 from .bounds import RATIO_SLACK, _is_integer, structural_ceiling
 from .caratheodory import _subseed
-from .derivation import (class_constants, realizable_pair, solve_moments,
-                         _pair_moments)
+from .derivation import class_constants, solve_moments
 from .membership import ClassSpec
 
 __all__ = ["SearchRecord", "sweep_cell", "sweep", "replay_draw",
@@ -52,6 +51,16 @@ REALIZABILITY_THRESHOLD = 1e-8
 # numpy's fixed cost per call is paid once per 4096 draws; it also fixes
 # which block, and so which seeded stream, a draw index belongs to.
 _BLOCK = 4096
+# A realizable draw's p_m and p_2m are scaled by this before q is formed.
+# With q_m = -p_m,
+#     forced - q_m^2/2 = (C - 1/2) p_m^2 - p_2m,
+# where C = D t on the re type and C = 1 + alpha (D - 1) on the arg type,
+# with D = 2(2 lam^2 + lam + 1)/(1 + lam)^2 in [7/4, 2]; so C lies in
+# (0, 2].  Scaled, |p_m| <= 1/2 and |p_2m| <= 1/2, so the left side is at
+# most 3/8 + 1/2 = 7/8, below 15/8 <= 2 - |p_m|^2/2, the radius of the
+# disk q_2m lies in: ``_draw_block`` always keeps the forced q_2m.  The
+# body is convex and holds 0, so the scaled point stays in it.
+_REALIZABLE_SCALE = 0.25
 
 
 @dataclass
@@ -104,12 +113,14 @@ def _unit_disk(radius, angle):
     return np.sqrt(radius) * np.exp(2j * np.pi * angle)
 
 
-def _draw_block(prefix, block, count, constants):
+def _draw_block(prefix, block, count, constants, scale):
     """(p_m, p_2m, q_m, q_2m) of draws ``block * _BLOCK`` onward, as
     complex128 arrays of length ``count``.
 
     The block's stream gives six 53-bit uniforms per draw: the polar
-    parts of p_m / 2, x and y.
+    parts of p_m / 2, x and y.  p_m and p_2m are multiplied by ``scale``
+    (1 for a body draw, ``_REALIZABLE_SCALE`` for a realizable one)
+    before q is formed; multiplying by 1 is exact.
     """
     import numpy as np
 
@@ -117,8 +128,9 @@ def _draw_block(prefix, block, count, constants):
     u = (np.frombuffer(raw, dtype="<u8") >> 11) * 2.0 ** -53
     u = u.reshape(count, 6).T
     p_m = 2 * _unit_disk(u[0], u[1])
-    radius = 2 - abs(p_m) ** 2 / 2  # of the disk p_2m and q_2m lie in
-    p_2m = p_m * p_m / 2 + radius * _unit_disk(u[2], u[3])
+    p_2m = p_m * p_m / 2 + (2 - abs(p_m) ** 2 / 2) * _unit_disk(u[2], u[3])
+    p_m, p_2m = scale * p_m, scale * p_2m
+    radius = 2 - abs(p_m) ** 2 / 2  # of the disk q_2m lies in
     q_m = -p_m
     centre = q_m * q_m / 2
     forced = constants.forced_q_2m(p_m, p_2m)
@@ -140,57 +152,49 @@ class _BlockTags:
 
 def replay_draw(tag, spec: ClassSpec, samples):
     """(p_m, p_2m, q_m, q_2m) of the draw tagged ``tag`` (an
-    ``argmax_seed`` of the form ``f"{prefix}/{i}"``) in a sweep cell of
-    ``spec`` with ``samples`` draws.
+    ``argmax_seed``) in a sweep cell of ``spec``.
 
-    The draw's whole block is rebuilt, so the moments carry the bits the
-    sweep solved: ``solve_moments`` on one-element arrays of them gives
-    the sweep's values exactly.  Take ``abs`` of those arrays, as the
-    sweep does; numpy's scalar ``abs`` can differ in the last bit.
+    ``samples`` is the length of the tag's own sequence: the cell's
+    ``samples`` for a body tag ``f"{prefix}/{i}"``, and its ``realizable``
+    for a realizable tag ``f"{prefix}/realizable/{i}"``.  The draw's whole
+    block is rebuilt, so the moments carry the bits the sweep solved:
+    ``solve_moments`` on one-element arrays of them gives the sweep's
+    values exactly.  Take ``abs`` of those arrays, as the sweep does;
+    numpy's scalar ``abs`` can differ in the last bit.
     """
     if not (_is_integer(samples) and samples >= 0):
         raise ValueError(
             f"samples must be an integer >= 0, got {samples!r}")
     prefix, _, index = tag.rpartition("/")
-    if prefix.endswith("/realizable") or not index.isdecimal():
-        raise ValueError(f"{tag!r} is not the tag of a body draw")
+    if not index.isdecimal():
+        raise ValueError(f"{tag!r} is not the tag of a draw")
     i = int(index)
     if i >= samples:
         raise ValueError(f"draw {i} is not among {samples} samples")
+    scale = _REALIZABLE_SCALE if prefix.endswith("/realizable") else 1
     block, offset = divmod(i, _BLOCK)
     count = min(_BLOCK, samples - block * _BLOCK)
     moments = _draw_block(prefix, block, count,
-                          class_constants(spec, "float"))
+                          class_constants(spec, "float"), scale)
     return tuple(complex(x[offset]) for x in moments)
 
 
-def _check_counts(samples, realizable, atom_count):
-    counts = (("samples", samples), ("realizable", realizable),
-              ("atom count", atom_count))
-    for name, value in counts:
+def _check_counts(samples, realizable):
+    for name, value in (("samples", samples), ("realizable", realizable)):
         if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    for name, value in counts[:2]:
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    if atom_count < 1:
-        raise ValueError("atom count must be >= 1")
 
 
 def sweep_cell(kind, m, param, lam, samples, seed,
-               atom_count=3, realizable=0) -> SearchRecord:
-    """Draw ``samples`` moment sets from the coefficient body for one cell
-    and record maxima.
-
-    ``realizable`` additional atom pairs with ``atom_count`` random atoms
-    are constructed to satisfy the full system exactly (well, to float
-    solve tolerance).  Each pair passes ``_pair_moments``' checks as it
-    is built, so the first broken pair raises first; their moments are
-    then solved together on complex128 arrays, as the body draws are.
-    """
+               realizable=0) -> SearchRecord:
+    """Draw ``samples`` moment sets from the coefficient body for one cell,
+    and ``realizable`` more whose forced q_2m is always kept, and record
+    maxima."""
     import numpy as np
 
-    _check_counts(samples, realizable, atom_count)
+    _check_counts(samples, realizable)
     spec = ClassSpec.from_kind(kind, m, param, lam)
     constants = class_constants(spec, "float")
     lam_f = float(lam)
@@ -201,19 +205,15 @@ def sweep_cell(kind, m, param, lam, samples, seed,
     prefix = _subseed(seed, kind, m, param_f, lam_f)
 
     def batches():
-        """(moments, tags) of the body draws, one block at a time, then of
-        all the realizable pairs, each pair checked as it is built."""
-        for block, start in enumerate(range(0, samples, _BLOCK)):
-            count = min(_BLOCK, samples - start)
-            yield (_draw_block(prefix, block, count, constants),
-                   _BlockTags(prefix, start))
-        if realizable:
-            tags = [_subseed(seed, kind, m, param_f, lam_f, "realizable", i)
-                    for i in range(realizable)]
-            moments = [_pair_moments(*realizable_pair(
-                tag, spec, backend="float", atom_count=atom_count), spec)
-                for tag in tags]
-            yield np.array(tuple(zip(*moments)), dtype=complex), tags
+        """(moments, tags) of each block of the body draws, then of each
+        block of the realizable draws."""
+        for sequence, total, scale in (
+                (prefix, samples, 1),
+                (f"{prefix}/realizable", realizable, _REALIZABLE_SCALE)):
+            for block, start in enumerate(range(0, total, _BLOCK)):
+                count = min(_BLOCK, total - start)
+                yield (_draw_block(sequence, block, count, constants, scale),
+                       _BlockTags(sequence, start))
 
     # Each batch is folded, in sample order, into the running maxima.  An
     # argmax moves only to a strictly greater value, so the first sample
@@ -248,7 +248,7 @@ def sweep_cell(kind, m, param, lam, samples, seed,
 
 
 def sweep(kinds, m_values, params_by_kind, lam_values, samples, seed,
-          atom_count=3, realizable=0):
+          realizable=0):
     """Run sweep_cell over the cartesian grid; deterministic in ``seed``.
 
     ``params_by_kind`` maps "alpha"/"beta" to their parameter lists.
@@ -261,6 +261,5 @@ def sweep(kinds, m_values, params_by_kind, lam_values, samples, seed,
                 for lam in lam_values:
                     records.append(sweep_cell(
                         kind, m, param, lam, samples, seed,
-                        atom_count=atom_count, realizable=realizable))
+                        realizable=realizable))
     return records
-

@@ -260,9 +260,9 @@ def check_membership(f, spec: ClassSpec, angles=DEFAULT_ANGLES, order=None,
 
     ``f`` is a normalized TruncatedSeries on either backend or an
     ``MFoldFunction``, which is expanded to ``order`` and refused when that
-    order would drop one of its nonzero coefficients.  Passing ``order``
-    above a series' own order zero-pads the coefficients, which is only
-    sound when f really is the polynomial its truncation shows.
+    order would drop one of its nonzero coefficients.  A series is
+    truncated to ``order``; an order above its own is refused, as a series
+    says nothing about the coefficients past its order.
 
     f is scanned on ``RADII``, its inverse on those capped at 0.7 and at
     a moderate truncation (``g_order``): reversion amplifies cancellation,
@@ -283,9 +283,8 @@ def check_membership(f, spec: ClassSpec, angles=DEFAULT_ANGLES, order=None,
             raise ValueError(
                 f"order {f.order} drops the nonzero coefficient of "
                 f"z^{dropped[-1]}; membership needs order >= {dropped[-1]}")
-    if order is not None and order > f.order:
-        f = TruncatedSeries(list(f.coeffs) + [0] * (order - f.order),
-                            backend=f.backend)
+    elif order is not None:
+        f = f.truncate(order)
     if not f.is_normalized():
         raise ValueError("membership checks need a normalized function")
     if spec.m > 1 and off_shape_exponent(f, spec.m) is not None:

@@ -115,6 +115,11 @@ def test_positive_on_domain_grid():
     lambda: ClassSpec("arg", lam=0, alpha=1),
     lambda: phi(TruncatedSeries.exact([0, 1, 1]), 0),
     lambda: bound_alpha_exact(1, 1, 0),
+    # a bool compares as 0 or 1 but is no class parameter
+    lambda: ClassSpec("arg", alpha=True),
+    lambda: ClassSpec("arg", alpha=1, lam=True),
+    lambda: ClassSpec("re", beta=False),
+    lambda: phi(TruncatedSeries.exact([0, 1, 1]), True),
 ])
 def test_out_of_range_rejected(call):
     with pytest.raises(ValueError):

@@ -486,16 +486,6 @@ def test_negative_counts_exit_2(argv):
     assert proc.stdout == ""
 
 
-def test_search_refuses_zero_atoms_before_drawing():
-    # with no sample to draw, the count used to go unchecked: a row, exit 1
-    proc = run_cli("search", "--kind", "alpha", "--m", "1", "--alpha", "1",
-                   "--lambda", "1", "--samples", "0", "--realizable", "0",
-                   "--atoms", "0", "--no-timestamp", check=False)
-    assert proc.returncode == 2
-    assert proc.stderr == "error: atom count must be >= 1\n"
-    assert proc.stdout == ""
-
-
 def test_search_refuses_a_sweep_with_nothing_to_draw():
     # every cell would be empty and fail, and exit 1 means a failed check
     proc = run_cli("search", "--kind", "alpha", "--m", "1", "--alpha", "1",
@@ -514,6 +504,15 @@ def test_search_refuses_removed_climb_flags(flags):
                    "--samples", "1", "--no-timestamp", check=False)
     assert proc.returncode == 2
     assert "unrecognized arguments" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_search_refuses_the_removed_atoms_flag():
+    # the sweep draws no atoms: its realizable samples are body draws
+    proc = run_cli("search", "--atoms", "3", "--kind", "alpha", "--m", "1",
+                   "--samples", "1", "--no-timestamp", check=False)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --atoms 3" in proc.stderr
     assert proc.stdout == ""
 
 

@@ -1,6 +1,7 @@
 """Sweep records and realizability filtering."""
 
 import functools
+import itertools
 import subprocess
 import sys
 
@@ -9,9 +10,8 @@ import pytest
 
 from bifold import explore
 from bifold.bounds import structural_ceiling
-from bifold.caratheodory import CaratheodoryFunction, _subseed
-from bifold.derivation import (_pair_moments, class_constants,
-                               realizable_pair, solve_moments)
+from bifold.caratheodory import _subseed
+from bifold.derivation import class_constants, solve_moments
 from bifold.explore import SearchRecord, replay_draw, sweep, sweep_cell
 from bifold.membership import ClassSpec
 
@@ -58,23 +58,21 @@ def solved_alone(moments, constants):
             float(abs(solution.residuals["addition"])[0]))
 
 
-def replayed(tag, spec, samples):
-    """(|a_{m+1}|, realizability score) of the sample tagged ``tag``,
-    replayed as the sweep solved it, on one-element complex128 arrays:
-    a body draw rebuilt from its block, or a realizable pair."""
-    if "realizable" in tag:
-        p, q = realizable_pair(tag, spec, backend="float")
-        moments = _pair_moments(p, q, spec)
-    else:
-        moments = replay_draw(tag, spec, samples)
-    a_m1, _, score = solved_alone(moments, class_constants(spec, "float"))
+def replayed(tag, spec, samples, realizable):
+    """(|a_{m+1}|, realizability score) of the draw tagged ``tag`` in a
+    cell of ``samples`` body and ``realizable`` realizable draws, rebuilt
+    by ``replay_draw`` and solved as the sweep solved it, on one-element
+    complex128 arrays."""
+    count = realizable if "/realizable/" in tag else samples
+    a_m1, _, score = solved_alone(replay_draw(tag, spec, count),
+                                  class_constants(spec, "float"))
     return a_m1, score
 
 
 def test_argmax_seed_reproduces_maximum():
     rec = sweep_cell("beta", 2, 0.25, 0.5, 500, seed=7, realizable=8)
     spec = ClassSpec("re", m=2, lam=0.5, beta=0.25)
-    a_m1, _ = replayed(rec.argmax_seed_unfiltered, spec, 500)
+    a_m1, _ = replayed(rec.argmax_seed_unfiltered, spec, 500, 8)
     assert a_m1 == rec.max_a_m1_unfiltered
 
 
@@ -96,7 +94,7 @@ def test_unfiltered_second_ratio_still_bounded():
 def test_filtered_argmax_seed_reproduces_maximum():
     rec = sweep_cell("alpha", 2, 0.5, 0.25, 300, seed=3, realizable=6)
     spec = ClassSpec("arg", m=2, lam=0.25, alpha=0.5)
-    a_m1, score = replayed(rec.argmax_seed, spec, 300)
+    a_m1, score = replayed(rec.argmax_seed, spec, 300, 6)
     assert a_m1 == rec.max_a_m1
     assert score <= explore.REALIZABILITY_THRESHOLD
 
@@ -106,16 +104,32 @@ def test_filtered_argmax_seed_reproduces_maximum():
     ("beta", 0.25, 1, ClassSpec("re", m=2, lam=0.25, beta=0.25)),
 ])
 def test_realizable_argmax_seed_reproduces_maximum(kind, param, seed, spec):
-    # with no body draw a realizable pair holds both argmaxes; in these
-    # cells a solve and abs on Python complex scalars gives other last bits
+    # with no body draw a realizable draw holds both argmaxes, under a tag
+    # f"{prefix}/realizable/{i}"
     rec = sweep_cell(kind, 2, param, 0.25, 0, seed=seed, realizable=4)
     assert rec.filtered_count == 4
-    assert "/realizable/" in rec.argmax_seed
-    a_m1, score = replayed(rec.argmax_seed, spec, 0)
+    prefix = _subseed(seed, kind, 2, param, 0.25, "realizable")
+    assert rec.argmax_seed.rpartition("/")[0] == prefix
+    a_m1, score = replayed(rec.argmax_seed, spec, 0, 4)
     assert a_m1 == rec.max_a_m1
     assert score <= explore.REALIZABILITY_THRESHOLD
-    a_m1, _ = replayed(rec.argmax_seed_unfiltered, spec, 0)
+    a_m1, _ = replayed(rec.argmax_seed_unfiltered, spec, 0, 4)
     assert a_m1 == rec.max_a_m1_unfiltered
+
+
+EXTREME_PARAMS = {"alpha": (1e-9, 0.5, 1.0), "beta": (0.0, 0.5, 1 - 1e-9)}
+
+
+@pytest.mark.parametrize("lam", [1e-6, 0.01, 1 / 3, 0.5, 1.0])
+@pytest.mark.parametrize("kind", ["alpha", "beta"])
+def test_every_realizable_draw_is_kept(kind, lam):
+    # D = 2(2 lam^2 + lam + 1)/(1 + lam)^2 is least at lam = 1/3; the
+    # scale keeps the forced q_2m in the body for every class parameter
+    for m, param in itertools.product((1, 2, 7), EXTREME_PARAMS[kind]):
+        rec = sweep_cell(kind, m, param, lam, 0, seed="kept",
+                         realizable=1000)
+        assert rec.filtered_count == 1000, (m, param)
+        assert rec.ok, (m, param)
 
 
 
@@ -124,22 +138,21 @@ def test_realizable_argmax_seed_reproduces_maximum(kind, param, seed, spec):
 
 
 @functools.lru_cache(maxsize=16)
-def solved_block(prefix, block, count, spec):
+def solved_block(prefix, block, count, spec, scale):
     """``solved_alone`` of each draw of one block, drawn once with
-    ``explore._draw_block``.  The values depend on neither the atom count,
-    the realizable count nor the threshold, so the cases that share a
-    cell and seed share them."""
+    ``explore._draw_block``.  The values depend on neither the other
+    sequence's count nor the threshold, so the cases that share a cell
+    and seed share them."""
     constants = class_constants(spec, "float")
-    moments = explore._draw_block(prefix, block, count, constants)
+    moments = explore._draw_block(prefix, block, count, constants, scale)
     return [solved_alone([x[offset] for x in moments], constants)
             for offset in range(count)]
 
 
-def reference_sweep_cell(kind, m, param, lam, samples, seed, atom_count=3,
-                         realizable=0):
-    """sweep_cell as a plain loop, folded one sample at a time: each
-    block drawn once and its draws solved alone, then each realizable pair
-    solved alone, all on one-element complex128 arrays.  The filter reads
+def reference_sweep_cell(kind, m, param, lam, samples, seed, realizable=0):
+    """sweep_cell as a plain loop, folded one sample at a time: each block
+    of the body draws, then of the realizable draws, drawn once and its
+    draws solved alone on one-element complex128 arrays.  The filter reads
     ``explore.REALIZABILITY_THRESHOLD`` when called, as the sweep does."""
     threshold = explore.REALIZABILITY_THRESHOLD
     spec = ClassSpec.from_kind(kind, m, param, lam)
@@ -161,18 +174,15 @@ def reference_sweep_cell(kind, m, param, lam, samples, seed, atom_count=3,
                 best["fseed"] = tag
             best["f2"] = max(best["f2"], a2)
 
-    constants = class_constants(spec, "float")
-    prefix = _subseed(seed, kind, m, param_f, lam_f)
-    for block, start in enumerate(range(0, samples, explore._BLOCK)):
-        count = min(explore._BLOCK, samples - start)
-        for offset, values in enumerate(
-                solved_block(prefix, block, count, spec)):
-            record(*values, f"{prefix}/{start + offset}")
-    for i in range(realizable):
-        tag = _subseed(seed, kind, m, param_f, lam_f, "realizable", i)
-        p, q = explore.realizable_pair(tag, spec, backend="float",
-                                       atom_count=atom_count)
-        record(*solved_alone(_pair_moments(p, q, spec), constants), tag)
+    for sequence, total, scale in (
+            (_subseed(seed, kind, m, param_f, lam_f), samples, 1),
+            (_subseed(seed, kind, m, param_f, lam_f, "realizable"),
+             realizable, explore._REALIZABLE_SCALE)):
+        for block, start in enumerate(range(0, total, explore._BLOCK)):
+            count = min(explore._BLOCK, total - start)
+            for offset, values in enumerate(
+                    solved_block(sequence, block, count, spec, scale)):
+                record(*values, f"{sequence}/{start + offset}")
 
     b1, b2 = spec.bounds()
     return SearchRecord(
@@ -186,67 +196,36 @@ def reference_sweep_cell(kind, m, param, lam, samples, seed, atom_count=3,
 
 
 def batched_cases():
-    """All four sample counts for every atom count, with the realizable
-    counts, thresholds and seed types cycling through the cells."""
+    """Every body count with every realizable count, the thresholds and
+    seed types cycling through the cells."""
     samples = (0, 1, 37, explore._BLOCK + 1)
-    realizable = (0, 3)
+    realizable = (0, 3, explore._BLOCK + 1)
     thresholds = (1e-14, 1e-8, 1e-3)
     seeds = (4, "batched")
-    for atom_count in range(1, 6):
-        for j in range(4):
-            k = atom_count + j
-            yield (atom_count, samples[j], realizable[k % 2],
-                   thresholds[k % 3], seeds[(k // 2) % 2])
+    for k, (s, r) in enumerate(itertools.product(samples, realizable)):
+        yield s, r, thresholds[k % 3], seeds[(k // 2) % 2]
 
 
 @pytest.mark.parametrize("kind,param", [("alpha", 0.5), ("beta", 0.25)])
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_batched_sweep_equals_one_pair_at_a_time(kind, param, m,
                                                  monkeypatch):
-    for atom_count, samples, realizable, threshold, seed in batched_cases():
+    for samples, realizable, threshold, seed in batched_cases():
         # the threshold is a module constant; each case sets it for both
         monkeypatch.setattr(explore, "REALIZABILITY_THRESHOLD", threshold)
         args = (kind, m, param, 0.5, samples, seed)
-        kwargs = dict(atom_count=atom_count, realizable=realizable)
         # dataclass equality: every float bit and every tag
-        assert sweep_cell(*args, **kwargs) == \
-            reference_sweep_cell(*args, **kwargs), (args, kwargs, threshold)
+        assert sweep_cell(*args, realizable=realizable) == \
+            reference_sweep_cell(*args, realizable=realizable), \
+            (args, realizable, threshold)
 
-
-def _broken_pairs(fault):
-    """A realizable_pair whose p breaks where its first point has real
-    part > 0.95: the point squared (p_m no longer cancels q_m) or moved
-    off the circle."""
-    original = explore.realizable_pair
-
-    def pair(seed, spec, backend, atom_count):
-        p, q = original(seed, spec, backend=backend, atom_count=atom_count)
-        (h, xi), *rest = p.atoms
-        if xi.real > 0.95:
-            xi = xi * xi if fault == "gap" else 1.5 * xi
-            p = CaratheodoryFunction([(h, xi), *rest], fold=p.fold,
-                                     backend=p.backend)
-        return p, q
-    return pair
-
-
-@pytest.mark.parametrize("fault", ["gap", "circle"])
-def test_batched_sweep_raises_the_first_pair_error(monkeypatch, fault):
-    monkeypatch.setattr(explore, "realizable_pair", _broken_pairs(fault))
-    cell = ("beta", 2, 0.25, 0.5)
-    assert reference_sweep_cell(*cell, 5, seed=5, realizable=2).samples == 7
-    with pytest.raises(ValueError) as expected:
-        reference_sweep_cell(*cell, 5, seed=5, realizable=40)
-    with pytest.raises(ValueError) as batched:
-        sweep_cell(*cell, 5, seed=5, realizable=40)
-    # a gap message carries the size of the first broken pair's gap
-    assert str(batched.value) == str(expected.value)
 
 def test_replay_draw_refuses_a_tag_that_is_no_body_draw():
+    # nor a realizable draw: the index is no decimal or past the sequence
     spec = ClassSpec("re", m=2, lam=0.5, beta=0.25)
-    rec = sweep_cell("beta", 2, 0.25, 0.5, 10, seed=7, realizable=1)
-    prefix = rec.argmax_seed_unfiltered.rpartition("/")[0]
-    for tag in (f"{prefix}/realizable/0", f"{prefix}/x", f"{prefix}/10"):
+    prefix = _subseed(7, "beta", 2, 0.25, 0.5)
+    for tag in (f"{prefix}/x", f"{prefix}/10", f"{prefix}/realizable/x",
+                f"{prefix}/realizable/10"):
         with pytest.raises(ValueError):
             replay_draw(tag, spec, 10)
 
@@ -255,9 +234,6 @@ NEGATIVE_COUNTS = {  # name: (least allowed value, a call below it)
     "samples": (0, lambda: sweep_cell("alpha", 1, 1.0, 1.0, -1, seed=0)),
     "realizable": (0, lambda: sweep_cell("alpha", 1, 1.0, 1.0, 10, seed=0,
                                          realizable=-2)),
-    # refused before any draw, even when the cell would draw nothing
-    "atom count": (1, lambda: sweep_cell("alpha", 1, 1.0, 1.0, 0, seed=0,
-                                         atom_count=0)),
 }
 
 
@@ -274,9 +250,14 @@ BAD_INPUTS = {  # id: (call, the start of the refusal)
     "realizable-float": (dict(realizable=1.0), "realizable must be an integer"),
     "realizable-bool": (dict(realizable=False),
                         "realizable must be an integer"),
-    "atom-count-float": (dict(atom_count=3.0), "atom count must be an integer"),
-    "atom-count-bool": (dict(atom_count=True), "atom count must be an integer"),
 }
+
+
+@pytest.mark.parametrize("param,lam", [(True, 0.5), (0.5, True)],
+                         ids=["param", "lambda"])
+def test_sweep_cell_refuses_bool_class_parameters(param, lam):
+    with pytest.raises(ValueError, match="^(alpha|lambda) must lie in"):
+        sweep_cell("alpha", 1, param, lam, 10, seed=0)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

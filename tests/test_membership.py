@@ -313,6 +313,24 @@ def test_membership_refuses_angles_that_are_not_positive_integers(angles):
                          ClassSpec("re", beta=F(3, 5)), angles=angles)
 
 
+def test_membership_refuses_an_order_past_the_series():
+    # zero padding would judge the polynomial z + ... + z^8, which fails at
+    # beta = 0, and not z/(1-z), which passes
+    with pytest.raises(ValueError, match="^cannot extend a series trusted "
+                                         "to order 8 out to 240$"):
+        check_membership(catalog("geometric", 1, 8), ClassSpec("re", beta=0),
+                         order=240)
+
+
+def test_membership_truncates_a_series_to_order():
+    spec = ClassSpec("re", beta=F(1, 5))
+    got = check_membership(catalog("geometric", 1, 40), spec, angles=36,
+                           order=8)
+    assert got.order == 8
+    assert got == check_membership(catalog("geometric", 1, 8), spec,
+                                   angles=36)
+
+
 def test_membership_takes_numpy_and_rational_grid_sizes():
     spec = ClassSpec("re", beta=F(3, 5))
     f = catalog("geometric", 1, 40)
