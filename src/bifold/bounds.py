@@ -76,9 +76,9 @@ def _check_lambda(lam):
 def bound_alpha_exact(m, alpha, lam):
     """(B1^2, B2) for the arg-type class as exact rationals."""
     _check_m(m)
-    alpha, lam = Fraction(alpha), Fraction(lam)
     _check_alpha(alpha)
     _check_lambda(lam)
+    alpha, lam = Fraction(alpha), Fraction(lam)
     radicand = ((1 + lam) * (4 * lam * alpha + (1 + lam) * (1 - alpha))
                 + 2 * alpha * (1 - lam))
     b1_sq = 16 * lam ** 2 * alpha ** 2 / (m ** 2 * radicand)
@@ -90,9 +90,9 @@ def bound_alpha_exact(m, alpha, lam):
 def bound_beta_exact(m, beta, lam):
     """(B1^2, B2) for the re-type class as exact rationals."""
     _check_m(m)
-    beta, lam = Fraction(beta), Fraction(lam)
     _check_beta(beta)
     _check_lambda(lam)
+    beta, lam = Fraction(beta), Fraction(lam)
     b1_sq = 8 * lam ** 2 * (1 - beta) / (m ** 2 * (2 * lam ** 2 + lam + 1))
     b2 = (8 * (m + 1) * lam ** 2 * (1 - beta) ** 2 / (m ** 2 * (1 + lam) ** 2)
           + 2 * lam * (1 - beta) / (m * (1 + lam)))
@@ -101,13 +101,13 @@ def bound_beta_exact(m, beta, lam):
 
 def bound_alpha(m, alpha, lam):
     """(B1, B2) for the arg-type class, as floats."""
-    b1_sq, b2 = bound_alpha_exact(m, Fraction(alpha), Fraction(lam))
+    b1_sq, b2 = bound_alpha_exact(m, alpha, lam)
     return math.sqrt(b1_sq), float(b2)
 
 
 def bound_beta(m, beta, lam):
     """(B1, B2) for the re-type class, as floats."""
-    b1_sq, b2 = bound_beta_exact(m, Fraction(beta), Fraction(lam))
+    b1_sq, b2 = bound_beta_exact(m, beta, lam)
     return math.sqrt(b1_sq), float(b2)
 
 
@@ -127,16 +127,16 @@ def corollary_bounds_exact(which, m=1, alpha=None, beta=None):
     if which in (6, 10):
         if alpha is None:
             raise ValueError("arg-type corollary needs alpha")
+        _check_alpha(alpha)
         a = Fraction(alpha)
-        _check_alpha(a)
         b1_sq = 4 * a ** 2 / (m ** 2 * (a + 1))
         b2 = a * Fraction(1, m) + 2 * (m + 1) * a ** 2 * Fraction(1, m ** 2)
         return b1_sq, b2
     if which in (7, 11):
         if beta is None:
             raise ValueError("re-type corollary needs beta")
+        _check_beta(beta)
         b = Fraction(beta)
-        _check_beta(b)
         b1_sq = 2 * (1 - b) / Fraction(m ** 2)
         b2 = (2 * (m + 1) * (1 - b) ** 2 * Fraction(1, m ** 2)
               + (1 - b) * Fraction(1, m))

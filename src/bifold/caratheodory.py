@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .series import (EXACT, FLOAT, QComplex, TruncatedSeries, _coerce_scalar,
-                     _refuse_text, _to_ints, scalar_types)
+                     _qcomplex, _refuse_text, _to_ints, scalar_types)
 
 __all__ = [
     "CaratheodoryFunction",
@@ -45,10 +45,11 @@ __all__ = [
 
 
 def unimodular_exact(t) -> QComplex:
-    """Rational point on the unit circle from the tangent-half parameter t."""
+    """Rational point on the unit circle from the tangent-half parameter t:
+    ((b^2 - a^2) + 2ab i)/(a^2 + b^2) for t = a/b."""
     t = Fraction(t)
-    d = 1 + t * t
-    return QComplex((1 - t * t) / d, 2 * t / d)
+    a, b = t.numerator, t.denominator
+    return _qcomplex(b * b - a * a, 2 * a * b, a * a + b * b)
 
 
 class CaratheodoryFunction:
@@ -101,18 +102,18 @@ class CaratheodoryFunction:
         """p_{km} = 2 sum_j w_j zeta_j^k (the k-th atom moment, doubled)."""
         if k < 1:
             raise IndexError("coefficient index must be >= 1")
-        return _moment(self.atoms, k, scalar_types(self.backend)[1])
+        return self.moments(k)[-1]
 
     def moments(self, depth):
-        """[p_m, p_2m, ..., p_{depth*m}]."""
-        return [self.coefficient(k) for k in range(1, depth + 1)]
+        """[p_m, p_2m, ..., p_{depth*m}], in one pass over the powers."""
+        return _moments(self.atoms, depth, scalar_types(self.backend)[1])
 
     def expand(self, order) -> TruncatedSeries:
         """Series 1 + p_m z^m + p_2m z^2m + ... truncated at ``order``."""
         m = self.fold
         entries = {0: scalar_types(self.backend)[1](1)}
-        for k in range(1, order // m + 1):
-            entries[k * m] = self.coefficient(k)
+        for k, value in enumerate(self.moments(order // m), start=1):
+            entries[k * m] = value
         return TruncatedSeries.from_dict(entries, order, backend=self.backend)
 
     def eval(self, z) -> complex:
@@ -131,43 +132,49 @@ class CaratheodoryFunction:
                 f"fold={self.fold}, backend={self.backend!r})")
 
 
-def _moment(atoms, k, cplx):
-    """2 sum_j w_j zeta_j^k, summed in atom order, in the complex type cplx.
+def _moments(atoms, depth, cplx):
+    """[2 sum_j w_j zeta_j^k for k = 1 .. depth], each summed in atom
+    order, in the complex type cplx.
 
-    Exact atoms (cplx = QComplex) go through ``_moment_exact``.  On floats
-    zeta^k is an iterated product, which keeps sign symmetries bit-exact.
+    Exact atoms (cplx = QComplex) go through ``_moments_exact``.  On floats
+    zeta^k is the running product ((1 * zeta) * zeta) ..., the iterated
+    product that keeps sign symmetries bit-exact.
     """
     if cplx is QComplex:
-        return _moment_exact(atoms, k)
-    acc = cplx(0)
+        return _moments_exact(atoms, depth)
+    sums = [cplx(0)] * depth
     for w, z in atoms:
         zk = cplx(1)
-        for _ in range(k):
+        for k in range(depth):
             zk = zk * z
-        acc = acc + w * zk
-    return acc + acc
+            sums[k] = sums[k] + w * zk
+    return [s + s for s in sums]
 
 
-def _moment_exact(atoms, k):
-    """The exact moment on integers: with weights W_j / D and points
-    (X_j + i Y_j) / E, it is 2 sum_j W_j (X_j + i Y_j)^k / (D E^k), one
-    Fraction per part."""
+def _moments_exact(atoms, depth):
+    """The exact moments on integers: with weights W_j / D and points
+    (X_j + i Y_j) / E, moment k is 2 sum_j W_j (X_j + i Y_j)^k / (D E^k),
+    from running Gaussian powers, one QComplex per moment."""
     if not atoms:
-        return QComplex(0)
+        return [QComplex(0)] * depth
     weights, points = zip(*atoms)
     last = len(atoms) - 1
     w, _, w_den = _to_ints(weights, last)
     x, y, z_den = _to_ints(points, last)
-    re = im = 0
+    re, im = [0] * depth, [0] * depth
     for wj, xj, yj in zip(w, x, y or [0] * len(x)):
         if wj:
-            pr, pi = 1, 0  # (X_j + i Y_j)^k
-            for _ in range(k):
+            pr, pi = wj, 0  # W_j (X_j + i Y_j)^k
+            for k in range(depth):
                 pr, pi = pr * xj - pi * yj, pr * yj + pi * xj
-            re += wj * pr
-            im += wj * pi
-    den = w_den * z_den ** k
-    return QComplex(Fraction(2 * re, den), Fraction(2 * im, den))
+                re[k] += pr
+                im[k] += pi
+    out = []
+    den = w_den
+    for k in range(depth):
+        den *= z_den
+        out.append(_qcomplex(2 * re[k], 2 * im[k], den))
+    return out
 
 
 # The float atom checks.  A NaN, which no ordered comparison holds for,

@@ -205,8 +205,8 @@ def _solve(p: CaratheodoryFunction, q: CaratheodoryFunction,
         raise ValueError("p and q must share a backend")
     if p.fold != spec.m or q.fold != spec.m:
         raise ValueError("fold order of p, q must match the class spec")
-    p_m, p_2m = p.coefficient(1), p.coefficient(2)
-    q_m, q_2m = q.coefficient(1), q.coefficient(2)
+    p_m, p_2m = p.moments(2)
+    q_m, q_2m = q.moments(2)
 
     gap = p_m + q_m
     if p.backend == EXACT:
@@ -363,8 +363,8 @@ def realizable_pair(seed, spec: ClassSpec, backend=EXACT, atom_count=3):
         atoms = [(w * eps, z) for (w, z) in raw.atoms]
         atoms += [(w * (1 - eps), z) for (w, z) in base]
         p = CaratheodoryFunction(atoms, fold=m, backend=backend)
-        p_m = p.coefficient(1)
-        q_2m = c.forced_q_2m(p_m, p.coefficient(2))
+        p_m, p_2m = p.moments(2)
+        q_2m = c.forced_q_2m(p_m, p_2m)
         try:
             q = with_moments(-p_m / 2, q_2m / 2, fold=m, backend=backend)
             return p, q

@@ -10,15 +10,14 @@ Two coefficient backends are supported:
 
 ``exact``
     Arbitrary-precision rationals (:class:`fractions.Fraction`) and exact
-    complex rationals (:class:`QComplex`, a pair of Fractions).  Sums,
-    products, quotients, composition, reversion and rational powers stay
-    exact.  Products, reversion, quotients, exp0 and rational powers run
-    on Python ints over one common denominator and form one Fraction per
-    coefficient.  A rational power, exp0 and the reciprocal that a
-    quotient multiplies by share Miller's recurrence, whose weights are
-    integers.
-    A QComplex with an int or Fraction operand works on its two parts
-    instead of on r + 0i, and it compares with a float or complex exactly.
+    complex rationals (:class:`QComplex`, a Gaussian integer over one
+    positive denominator).  Sums, products, quotients, composition,
+    reversion and rational powers stay exact.  Products, composition,
+    reversion, quotients, exp0 and rational powers run on Python ints
+    over one common denominator and form one scalar per coefficient.  A
+    rational power, exp0 and the reciprocal that a quotient multiplies by
+    share Miller's recurrence, whose weights are integers.  A QComplex
+    compares with a float or complex exactly.
 
 ``float``
     Machine-precision ``complex`` coefficients with numpy-backed
@@ -43,138 +42,169 @@ __all__ = ["QComplex", "TruncatedSeries", "geometric_series"]
 
 
 class QComplex:
-    """Exact complex number with rational real and imaginary parts.
+    """Exact complex rational (x + iy)/d on Python ints.
 
-    Closed under +, -, *, / (nonzero divisor) with no rounding; mixes freely
-    with ``int`` and ``Fraction`` operands.
+    The fields are canonical: d > 0 and gcd(x, y, d) = 1, so equal values
+    have equal fields.  Every operation works on the integers and pays one
+    3-way gcd for its result (a complex product is four integer products
+    and that gcd); an int or Fraction operand n/e enters as (n + 0i)/e, and
+    ``_qcomplex`` is the one reducing constructor the exact kernels share.
+    ``re``, ``im``, ``real`` and ``imag`` give the parts as Fractions.
+    ``complex()`` and ``abs()`` divide the ints directly: int true division
+    is correctly rounded, so the bits are those of ``float(Fraction)``.
+    Equality with a float or complex is exact, and the hash is complex's
+    formula on the parts, so an equal int, Fraction, float or complex
+    hashes the same.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
-        # a Fraction part is kept as it is: Fraction(x) would rebuild it
-        object.__setattr__(self, "re",
-                           re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im",
-                           im if type(im) is Fraction else Fraction(im))
+        (p, q), (r, s) = _ratio(re), _ratio(im)
+        d = lcm(q, s)  # parts in lowest terms: over their lcm, gcd is 1
+        _set_x(self, p * (d // q))
+        _set_y(self, r * (d // s))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QComplex is immutable")
 
     @property
-    def real(self) -> Fraction:
-        return self.re
+    def re(self) -> Fraction:
+        return Fraction(self._x, self._d)
 
     @property
-    def imag(self) -> Fraction:
-        return self.im
+    def im(self) -> Fraction:
+        return Fraction(self._y, self._d)
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, QComplex):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QComplex(value)
-        return None
-
-    # An int or Fraction operand r acts on the parts directly: r + 0i would
-    # cost four products and two sums where two Fraction operations do.
+    real, imag = re, im
 
     def __add__(self, other):
+        x, y, d = self._x, self._y, self._d
         if isinstance(other, QComplex):
-            return QComplex(self.re + other.re, self.im + other.im)
+            e = other._d
+            if d == e:
+                return _qcomplex(x + other._x, y + other._y, d)
+            return _qcomplex(x * e + other._x * d, y * e + other._y * d, d * e)
         if isinstance(other, (int, Fraction)):
-            return QComplex(self.re + other, self.im)
+            n, e = other.numerator, other.denominator
+            return _qcomplex(x * e + n * d, y * e, d * e)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        x, y, d = self._x, self._y, self._d
         if isinstance(other, QComplex):
-            return QComplex(self.re - other.re, self.im - other.im)
+            e = other._d
+            if d == e:
+                return _qcomplex(x - other._x, y - other._y, d)
+            return _qcomplex(x * e - other._x * d, y * e - other._y * d, d * e)
         if isinstance(other, (int, Fraction)):
-            return QComplex(self.re - other, self.im)
+            n, e = other.numerator, other.denominator
+            return _qcomplex(x * e - n * d, y * e, d * e)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QComplex(other - self.re, -self.im)
+            n, e, d = other.numerator, other.denominator, self._d
+            return _qcomplex(n * d - self._x * e, -self._y * e, d * e)
         return NotImplemented
 
     def __mul__(self, other):
+        x, y = self._x, self._y
         if isinstance(other, QComplex):
-            return QComplex(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
+            u, v = other._x, other._y
+            return _qcomplex(x * u - y * v, x * v + y * u, self._d * other._d)
         if isinstance(other, (int, Fraction)):
-            return QComplex(self.re * other, self.im * other)
+            n = other.numerator
+            return _qcomplex(x * n, y * n, self._d * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
+        x, y, d = self._x, self._y, self._d
+        if isinstance(other, QComplex):
+            # ((x + iy)/d) / ((u + iv)/e) = (x + iy)(u - iv) e/(d (u^2 + v^2))
+            u, v, e = other._x, other._y, other._d
+            norm = u * u + v * v
+            if not norm:
                 raise ZeroDivisionError("division by zero QComplex")
-            return QComplex(self.re / other, self.im / other)
-        if not isinstance(other, QComplex):
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero QComplex")
-        return QComplex((self.re * other.re + self.im * other.im) / d,
-                        (self.im * other.re - self.re * other.im) / d)
+            return _qcomplex((x * u + y * v) * e, (y * u - x * v) * e,
+                             d * norm)
+        if isinstance(other, (int, Fraction)):
+            n, e = other.numerator, other.denominator
+            if not n:
+                raise ZeroDivisionError("division by zero QComplex")
+            if n < 0:
+                x, y, n = -x, -y, -n
+            return _qcomplex(x * e, y * e, d * n)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o / self
+        # (n/f) / ((u + iv)/e) = n e (u - iv) / (f (u^2 + v^2))
+        u, v = self._x, self._y
+        norm = u * u + v * v
+        if not norm:
+            raise ZeroDivisionError("division by zero QComplex")
+        ne = other.numerator * self._d
+        return _qcomplex(ne * u, -ne * v, other.denominator * norm)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return QComplex(1) / self ** (-n)
-        out = QComplex(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return 1 / self ** -n
+        x, y = 1, 0  # (x + iy) = (X + iY)^n by repeated squaring
+        bx, by = self._x, self._y
+        k = n
+        while k:
+            if k & 1:
+                x, y = x * bx - y * by, x * by + y * bx
+            bx, by = bx * bx - by * by, 2 * bx * by
+            k >>= 1
+        return _qcomplex(x, y, self._d ** n)
 
     def __neg__(self):
-        return QComplex(-self.re, -self.im)
+        return _qcomplex(-self._x, -self._y, self._d)
 
     def __pos__(self):
         return self
 
     def conjugate(self):
-        return QComplex(self.re, -self.im)
+        return _qcomplex(self._x, -self._y, self._d)
 
     def abs2(self) -> Fraction:
         """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        x, y, d = self._x, self._y, self._d
+        return Fraction(x * x + y * y, d * d)
 
     def __abs__(self) -> float:
-        return hypot(float(self.re), float(self.im))
+        d = self._d
+        return hypot(self._x / d, self._y / d)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        d = self._d
+        return complex(self._x / d, self._y / d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._x) or bool(self._y)
 
     def __eq__(self, other):
+        if isinstance(other, QComplex):
+            return (self._x == other._x and self._y == other._y
+                    and self._d == other._d)
+        if isinstance(other, (int, Fraction)):
+            return (not self._y and self._x == other.numerator
+                    and self._d == other.denominator)
         if isinstance(other, (float, complex)):
             # exact, as Fraction == float is: no rounding of self
             other = complex(other)
             return self.re == other.real and self.im == other.imag
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return NotImplemented
 
     def __hash__(self):
         # complex's own formula on the parts' hashes, so an equal int,
@@ -188,9 +218,35 @@ class QComplex:
         return -2 if h == -1 else h
 
     def __repr__(self):
-        if not self.im:
+        if not self._y:
             return f"QComplex({self.re!s})"
         return f"QComplex({self.re!s}, {self.im!s})"
+
+
+_set_x = QComplex._x.__set__
+_set_y = QComplex._y.__set__
+_set_d = QComplex._d.__set__
+
+
+def _ratio(value):
+    """(numerator, denominator) of an int, Fraction or other rational."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _qcomplex(x, y, d):
+    """The QComplex (x + iy)/d for ints with d > 0, in lowest terms."""
+    g = gcd(x, y, d)
+    if g != 1:
+        x, y, d = x // g, y // g, d // g
+    z = object.__new__(QComplex)
+    _set_x(z, x)
+    _set_y(z, y)
+    _set_d(z, d)
+    return z
 
 
 EXACT = "exact"
@@ -234,37 +290,36 @@ def _refuse_text(values):
 
 
 # Exact kernels on integers.  A Fraction operation pays a gcd on every term;
-# the products, the reversion powers and Miller's recurrence below write their
-# operands as integer numerators over one common denominator instead, form
-# one Fraction per output coefficient and skip every zero term.
+# the products, composition, the reversion powers and Miller's recurrence
+# below write their operands as integer numerators over one common
+# denominator instead, form one scalar per output coefficient and skip every
+# zero term.
 
 
 def _to_ints(coeffs, order):
     """coeffs[:order + 1] as integer numerators over one denominator.
 
     Returns ``(re, im, den)``: the numerators of the real and of the
-    imaginary parts over ``den``, the lcm of every part's denominator.
-    ``im`` is None when no imaginary part is nonzero.
+    imaginary parts over ``den``, the lcm of every coefficient's
+    denominator.  ``im`` is None when no imaginary part is nonzero.
     """
-    head = coeffs[: order + 1]
-    # a Fraction's .real is +c, a new Fraction: read the parts directly
-    reals = [c.re if isinstance(c, QComplex) else c for c in head]
-    imags = [c.im if isinstance(c, QComplex) else 0 for c in head]
-    if not any(imags):
-        imags = None
-    parts = reals + (imags or [])
-    den = lcm(*(x.denominator for x in parts))
-    re = [x.numerator * (den // x.denominator) for x in reals]
-    im = imags and [x.numerator * (den // x.denominator) for x in imags]
+    fields = [(c._x, c._y, c._d) if isinstance(c, QComplex)
+              else (c.numerator, 0, c.denominator)
+              for c in coeffs[: order + 1]]
+    den = lcm(*[d for _, _, d in fields])
+    re = [x * (den // d) for x, _, d in fields]
+    im = None
+    if any(y for _, y, _ in fields):
+        im = [y * (den // d) for _, y, d in fields]
     return re, im, den
 
 
 def _from_ints(re, im, den):
-    """The scalars (re + i im) / den, as Fractions when im is None."""
+    """The scalars (re + i im) / den for den > 0, as Fractions when im is
+    None; each costs one gcd."""
     if im is None:
         return [Fraction(x, den) for x in re]
-    return [QComplex(Fraction(x, den), Fraction(y, den))
-            for x, y in zip(re, im)]
+    return [_qcomplex(x, y, den) for x, y in zip(re, im)]
 
 
 def _convolve(a, b, order):
@@ -357,6 +412,37 @@ def _revert_exact(coeffs):
             im = im and [x // g for x in im]
             den //= g
     return b[: n + 1]
+
+
+def _compose_exact(outer, inner, order):
+    """outer(inner(z)) through z^order for inner[0] = 0, on integers.
+
+    Horner's rule acc <- acc inner + c_k from the top, with the c_k as
+    integer numerators C_k over one denominator D: acc is sum C_j
+    inner^(j - k), kept as primitive numerators over one denominator (the
+    gcd is divided out after every step, as in ``_revert_exact``) and only
+    through z^(order - k), since the k products still to come each raise
+    the valuation by at least one.  The result is acc / D at k = 0.
+    """
+    i_re, i_im, i_den = _to_ints(inner, order)
+    c_re, c_im, c_den = _to_ints(outer, order)
+    complex_out = c_im is not None or i_im is not None
+    re = [c_re[order]]
+    im = [c_im[order] if c_im else 0] if complex_out else None
+    den = 1
+    for k in range(order - 1, -1, -1):
+        re, im = _mul_ints(re, im, i_re, i_im, order - k)
+        den *= i_den
+        re[0] += c_re[k] * den  # the product's z^0 term is 0
+        if c_im:
+            im[0] += c_im[k] * den
+        g = gcd(den, *re, *(im or ()))
+        re = [x // g for x in re]
+        im = im and [x // g for x in im]
+        den //= g
+    if im is not None and not any(im):
+        im = None
+    return _from_ints(re, im, den * c_den)
 
 
 def _miller_sum(a, b, n, c, d):
@@ -727,6 +813,8 @@ class TruncatedSeries:
         if inner.coeffs[0]:
             raise ValueError("inner series must have zero constant term")
         n = min(self.order, inner.order)
+        if self.backend == EXACT:
+            return TruncatedSeries(_compose_exact(self.coeffs, inner.coeffs, n))
         outer = self.coeffs[: n + 1]
         acc = TruncatedSeries([outer[-1]] + [0] * n, backend=self.backend)
         inner_t = inner.truncate(n) if inner.order > n else inner

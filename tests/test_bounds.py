@@ -120,6 +120,17 @@ def test_positive_on_domain_grid():
     lambda: ClassSpec("arg", alpha=1, lam=True),
     lambda: ClassSpec("re", beta=False),
     lambda: phi(TruncatedSeries.exact([0, 1, 1]), True),
+    # nor is it one to the bound functions, which convert only after the
+    # range checks
+    lambda: bound_alpha(1, True, True),
+    lambda: bound_alpha(1, F(1, 2), True),
+    lambda: bound_beta(1, False, True),
+    lambda: bound_beta(1, False, F(1, 2)),
+    lambda: bound_alpha_exact(2, True, 1),
+    lambda: bound_beta_exact(2, F(1, 4), True),
+    lambda: corollary_bounds_exact(6, 1, alpha=True),
+    lambda: corollary_bounds_exact(11, beta=False),
+    lambda: corollary_bounds(7, m=2, beta=False),
 ])
 def test_out_of_range_rejected(call):
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bifold.caratheodory import (CaratheodoryFunction, _base, _moment,
+from bifold.caratheodory import (CaratheodoryFunction, _base, _moments,
                                  _negative, _off_circle, _off_simplex,
                                  check_lemma1, constrained_pair, sample,
                                  sample_exact, unimodular_exact, with_moments)
@@ -381,14 +381,59 @@ def test_exact_moments_match_the_iterated_qcomplex_loop(raw, data):
 
 @pytest.mark.parametrize("k", range(1, 5))
 def test_exact_moments_of_special_atom_sets(k):
-    empty = _moment((), k, QComplex)
-    assert empty == QComplex(0) and type(empty) is QComplex
+    empty = _moments((), k, QComplex)
+    assert empty == [QComplex(0)] * k
+    assert all(type(value) is QComplex for value in empty)
     base = with_moments(0, 0)
     assert base.coefficient(k) == reference_moment(base.atoms, k)
     # integer points only, so no imaginary numerators at all
     real = [(F(1, 3), ONE), (F(2, 3), -ONE)]
-    assert _moment(real, k, QComplex) == reference_moment(real, k)
+    assert _moments(real, k, QComplex)[-1] == reference_moment(real, k)
     # the kernel needs neither unimodular points nor a unit weight sum
     loose = [(F(2, 7), QComplex(F(1, 3), F(-5, 11))),
              (F(0), QComplex(F(9, 2))), (F(-4, 13), QComplex(0, F(1, 17)))]
-    assert _moment(loose, k, QComplex) == reference_moment(loose, k)
+    assert _moments(loose, k, QComplex)[-1] == reference_moment(loose, k)
+
+
+def reference_float_moment(atoms, k):
+    """The per-k float moment loop that ``_moments`` replaced: zeta^k as a
+    fresh product chain from 1 for every k."""
+    acc = 0j
+    for w, z in atoms:
+        zk = 1 + 0j
+        for _ in range(k):
+            zk = zk * z
+        acc = acc + w * zk
+    return acc + acc
+
+
+def float_bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@given(raw_weights_st, st.data())
+@settings(max_examples=60, deadline=None)
+def test_moments_in_one_pass_match_the_per_k_moments(raw, data):
+    points = data.draw(st.lists(points_st, min_size=len(raw),
+                                max_size=len(raw)))
+    exact = [(F(r, sum(raw)), z) for r, z in zip(raw, points)]
+    # float atoms with signed zeros, where a reordered product would show
+    floats = [(float(w), complex(z)) for w, z in exact]
+    floats += [(0.25, complex(-0.0, 1.0)), (0.5, complex(-1.0, -0.0)),
+               (0.25, complex(0.6, -0.8))]
+    depth = 6
+    got_exact = _moments(exact, depth, QComplex)
+    got_float = _moments(floats, depth, complex)
+    assert len(got_exact) == len(got_float) == depth
+    for k in range(1, depth + 1):
+        assert got_exact[k - 1] == reference_moment(exact, k)
+        assert type(got_exact[k - 1]) is QComplex
+        assert float_bits(got_float[k - 1]) == \
+            float_bits(reference_float_moment(floats, k))
+    for fn in (CaratheodoryFunction(exact, fold=3),
+               CaratheodoryFunction(floats[len(exact):], fold=2)):
+        moments = fn.moments(depth)
+        assert moments == [fn.coefficient(k) for k in range(1, depth + 1)]
+        series = fn.expand(depth * fn.fold + 1)
+        assert [series.coeff(k * fn.fold) for k in range(1, depth + 1)] == \
+            moments

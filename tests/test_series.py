@@ -18,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 from bifold.caratheodory import CaratheodoryFunction
 from bifold.derivation import class_constants
 from bifold.membership import ClassSpec
-from bifold.series import (QComplex, TruncatedSeries, _to_ints,
-                           geometric_series)
+from bifold.series import (QComplex, TruncatedSeries, _compose_exact,
+                           _to_ints, geometric_series)
 
 S = TruncatedSeries.exact
 
@@ -392,8 +392,9 @@ def test_qcomplex_division_by_a_zero_real(zero):
 def test_qcomplex_keeps_fraction_parts_and_makes_int_parts_fractions():
     third = Fraction(1, 3)
     z = QComplex(third, 2)
-    assert z.re is third
-    assert type(z.im) is Fraction and z.im == 2
+    assert (z.re, z.im) == (z.real, z.imag) == (third, 2)
+    for part in (z.re, z.im, z.real, z.imag):
+        assert type(part) is Fraction
 
 
 def test_qcomplex_compares_with_floats_exactly():
@@ -414,6 +415,102 @@ def test_qcomplex_compares_with_floats_exactly():
         assert value == other and other == value
         assert hash(value) == hash(other)
         assert len({value, other}) == 1
+
+
+# QComplex on integers against a model pair of Fractions
+
+
+def m_add(p, q):
+    return p[0] + q[0], p[1] + q[1]
+
+
+def m_sub(p, q):
+    return p[0] - q[0], p[1] - q[1]
+
+
+def m_mul(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def m_div(p, q):
+    norm = q[0] * q[0] + q[1] * q[1]
+    return ((p[0] * q[0] + p[1] * q[1]) / norm,
+            (p[1] * q[0] - p[0] * q[1]) / norm)
+
+
+def m_pow(p, n):
+    acc = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        acc = m_mul(acc, p)
+    return acc if n >= 0 else m_div((Fraction(1), Fraction(0)), acc)
+
+
+def assert_canonical(z, pair):
+    """z is the QComplex of the model pair, in the one canonical form."""
+    assert type(z) is QComplex
+    x, y, d = z._x, z._y, z._d
+    assert d > 0 and math.gcd(x, y, d) == 1
+    assert (z.re, z.im) == pair
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    twin = QComplex(*pair)  # built from the parts: equal fields and hash
+    assert (twin._x, twin._y, twin._d) == (x, y, d)
+    assert z == twin and hash(z) == hash(twin)
+
+
+# large numerators and large or prime denominators next to small ones
+big_rationals_st = st.builds(
+    Fraction, st.integers(-10 ** 30, 10 ** 30),
+    st.sampled_from([1, 2, 6, 7, 2 ** 61 - 1, 10 ** 18 + 9, 3 ** 40]))
+model_parts_st = st.one_of(st.just(Fraction(0)), fractions_st,
+                           big_rationals_st)
+model_pairs_st = st.tuples(model_parts_st, model_parts_st)
+real_operands_st = st.one_of(st.integers(-10 ** 20, 10 ** 20),
+                             model_parts_st)
+MODEL_OPERATIONS = [(operator.add, m_add), (operator.sub, m_sub),
+                    (operator.mul, m_mul)]
+
+
+@given(model_pairs_st, model_pairs_st, real_operands_st)
+@settings(max_examples=200, deadline=None)
+@example((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)),
+         2)  # (1 + i)(1 - i)/4 = 1/2 leaves a common factor to cancel
+@example((Fraction(0), Fraction(0)), (Fraction(0), Fraction(5, 3)), 0)
+def test_qcomplex_matches_a_pair_of_fractions(p, q, r):
+    z, w = QComplex(*p), QComplex(*q)
+    assert_canonical(z, p)
+    rp = (Fraction(r), Fraction(0))
+    for op, model in MODEL_OPERATIONS:
+        assert_canonical(op(z, w), model(p, q))
+        assert_canonical(op(z, r), model(p, rp))
+        assert_canonical(op(r, z), model(rp, p))
+    for a, b, pa, pb in ((z, w, p, q), (z, r, p, rp), (r, z, rp, p)):
+        if any(pb):
+            assert_canonical(a / b, m_div(pa, pb))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+    assert_canonical(-z, (-p[0], -p[1]))
+    assert_canonical(z.conjugate(), (p[0], -p[1]))
+    assert z.abs2() == p[0] ** 2 + p[1] ** 2 and type(z.abs2()) is Fraction
+    for n in range(-3, 6):
+        if n < 0 and not any(p):
+            with pytest.raises(ZeroDivisionError):
+                z ** n
+        else:
+            assert_canonical(z ** n, m_pow(p, n))
+    assert (z == w) == (p == q) and (w == z) == (p == q)
+    assert (z == r) == (p == rp) and (r == z) == (p == rp)
+    assert bool(z) == any(p)
+    if not p[1]:
+        assert hash(z) == hash(p[0])
+    # the float views: the bits of the Fraction parts' floats
+    fa, fb = float(p[0]), float(p[1])
+    assert bits(complex(z)) == bits(complex(fa, fb))
+    assert abs(z) == math.hypot(fa, fb)
+    # equality with a complex float is exact, and an equal one hashes alike
+    assert (z == complex(fa, fb)) == ((Fraction(fa), Fraction(fb)) == p)
+    near = QComplex(Fraction(fa), Fraction(fb))
+    assert near == complex(fa, fb) and hash(near) == hash(complex(fa, fb))
 
 
 def old_to_ints(coeffs, order):
@@ -743,6 +840,33 @@ def test_exact_pow_with_a_complex_exponent_matches_exp0_of_log1():
         assert list(series.pow(exponent)) == reference_pow(series, exponent)
 
 
+def reference_compose(outer, inner):
+    """Horner's rule through the series product, as compose ran before
+    its integer kernel."""
+    n = min(len(outer), len(inner)) - 1
+    acc = S([outer[n]] + [0] * n)
+    inner = S(inner[: n + 1])
+    for k in range(n - 1, -1, -1):
+        acc = acc * inner + outer[k]
+    return list(acc)
+
+
+@given(m_fold_tails(offset=0), m_fold_tails(offset=1))
+@settings(max_examples=60, deadline=None)
+@example([QComplex(Fraction(1, 3), -2), Fraction(0), Fraction(5, 7)],
+         [Fraction(0), QComplex(0, 1), Fraction(0), Fraction(2, 9)])
+@example([Fraction(-4, 9)], [Fraction(0), Fraction(3)])  # order 0
+@example([Fraction(2), Fraction(1, 2)],
+         [Fraction(0), QComplex(1, 1), Fraction(7)])  # order 1
+def test_exact_compose_matches_horner_through_the_product(outer, inner):
+    inner[0] = Fraction(0)
+    n = min(len(outer), len(inner)) - 1
+    expected = reference_compose(outer, inner)
+    assert _compose_exact(outer, inner, n) == expected
+    composed = S(outer).compose(S(inner))
+    assert list(composed) == expected and composed.order == n
+
+
 @given(m_fold_tails(offset=0), m_fold_tails(offset=0))
 @settings(max_examples=60, deadline=None)
 def test_exact_product_matches_the_schoolbook_product(a, b):
@@ -825,9 +949,9 @@ def test_float_division_and_exp0_keep_the_scalar_loops_bits(m, b0, special):
         check_float_exp0(num)
 
 
-def test_float_division_with_negative_zero_starts_keeps_the_loops_bits():
-    # named for the bit test it replaced: signed-zero slots among quotients
-    # that overflow, held to the exact quotient where the bound is finite
+def test_float_quotient_with_negative_zero_starts_meets_the_exact_bound():
+    # signed-zero slots among quotients that overflow, held to the exact
+    # quotient where the bound is finite
     rng = random.Random("negative-zero-starts")
     num = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) * 1e300
            for _ in range(121)]
