@@ -69,12 +69,16 @@ class CaratheodoryFunction:
             # a Fraction weight is kept as it is: Fraction(w) would rebuild it
             atoms = tuple((w if type(w) is Fraction else Fraction(w), z)
                           for (w, z) in atoms)
-            for w, z in atoms:
-                if not isinstance(z, QComplex) or z.abs2() != 1:
+            # weights as numerators over one denominator; a point
+            # (x + iy)/d is unimodular when x^2 + y^2 = d^2
+            nums, _, den = _to_ints([w for w, _ in atoms], len(atoms) - 1)
+            for num, (_, z) in zip(nums, atoms):
+                if not (isinstance(z, QComplex)
+                        and z._x * z._x + z._y * z._y == z._d * z._d):
                     raise ValueError("exact atoms need exact unimodular points")
-                if w < 0:
+                if num < 0:
                     raise ValueError("atom weights must be nonnegative")
-            if atoms and sum(w for w, _ in atoms) != 1:
+            if atoms and sum(nums) != den:
                 raise ValueError("atom weights must sum to 1")
         else:
             _refuse_text([x for atom in atoms for x in atom])

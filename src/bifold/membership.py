@@ -115,8 +115,9 @@ def phi(f: TruncatedSeries, lam) -> TruncatedSeries:
 
 
 def _log_derivative(f: TruncatedSeries) -> TruncatedSeries:
-    """z f'/f of a normalized f, constant term 1."""
-    return f.derivative().shift_up(1) / f
+    """z f'/f of a normalized f, constant term 1: f' over f/z, the operands
+    that factoring z out of (z f')/f would reach."""
+    return f.derivative() / f.shift_down(1)
 
 
 def _phi_of_ratio(ratio: TruncatedSeries, lam) -> TruncatedSeries:
@@ -217,9 +218,7 @@ def _margins(values, spec):
 def _scan_side(side, phi_series, ratio_series, spec, radii, angles):
     import numpy as np
 
-    theta = 2.0 * np.pi * np.arange(angles) / angles
-    # one row per radius, one FFT per row; points only locate the witness
-    points = np.array(radii, dtype=float)[:, None] * np.exp(1j * theta)
+    # one row per radius, one FFT per row
     values = phi_series.eval_polar(radii, angles)
     margins = _margins(values, spec)
     # at lambda = 1, Phi is the ratio itself (_phi_of_ratio returns it)
@@ -237,7 +236,9 @@ def _scan_side(side, phi_series, ratio_series, spec, radii, angles):
         local = float(margins[row, idx])
         if local < worst:
             worst = local
-            worst_point = complex(points[row, idx])
+            # r exp(i theta) at the grid's angle theta = 2 pi idx/angles
+            theta = 2.0 * np.pi * idx / angles
+            worst_point = complex(r * np.exp(1j * theta))
             worst_value = complex(values[row, idx])
             worst_tail = tail
         if not np.all(margins[row] > tail):

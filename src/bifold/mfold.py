@@ -207,7 +207,7 @@ def catalog(name: str, m: int = 1, order=None) -> TruncatedSeries:
         return geometric_series(order - 1).shift_up(1)
     if name == "log":
         return TruncatedSeries.exact(
-            [0] + [Fraction(1, n) for n in range(1, order + 1)])
+            [Fraction(0)] + [Fraction(1, n) for n in range(1, order + 1)])
     if name == "atanh":
         return TruncatedSeries.exact(
             [Fraction(1, n) if n % 2 == 1 else Fraction(0)

@@ -16,15 +16,18 @@ Two coefficient backends are supported:
     reversion, quotients, exp0 and rational powers run on Python ints
     over one common denominator and form one scalar per coefficient.  A
     rational power, exp0 and the reciprocal that a quotient multiplies by
-    share Miller's recurrence, whose weights are integers.  A QComplex
-    compares with a float or complex exactly.
+    share Miller's recurrence, whose weights are integers.  Miller's
+    recurrence and reversion run only on the exponents an m-fold series
+    can make nonzero.  A QComplex compares with a float or complex
+    exactly.
 
 ``float``
     Machine-precision ``complex`` coefficients with numpy-backed
     convolution.  A power, exp0 and the reciprocal that a quotient
-    multiplies by run Miller's recurrence as on the exact backend, one
-    dot product per coefficient, and only on the exponents of an m-fold
-    series that can be nonzero.  Values on whole circles come from one
+    multiplies by run Miller's recurrence as on the exact backend, its
+    weights formed a block of rows at a time and one dot product per
+    coefficient, and only on the exponents of an m-fold series that can
+    be nonzero.  Values on whole circles come from one
     inverse FFT per radius.  Comparisons need explicit tolerances.
     numpy is imported inside the float functions, here and in
     ``membership`` and ``explore``, so exact work never loads it.
@@ -280,6 +283,14 @@ def _coerce_scalar(value, backend):
     return complex(value)
 
 
+def _zeros(count, backend):
+    """``count`` copies of the backend's zero, coerced once."""
+    return [_coerce_scalar(0, backend)] * count
+
+
+_EXACT_SCALARS = frozenset((Fraction, QComplex))
+
+
 def _refuse_text(values):
     """Refuse str and bytes, which ``float()`` and ``complex()`` would
     parse; one check per distinct type keeps the float constructors fast."""
@@ -366,26 +377,42 @@ def _axpy(acc, w, x, start):
                 acc[j] += w * x[j]
 
 
+def _reduced(re, im, den):
+    """(re, im, den) with the gcd of the numerators and den divided out."""
+    g = gcd(den, *re, *(im or ()))
+    return [x // g for x in re], im and [x // g for x in im], den // g
+
+
 def _revert_exact(coeffs):
     """Reversion of a normalized exact series by the coefficient recursion
     b_j = -sum_{k<j} b_k [z^j] f^k.
 
-    Each power f^k is kept as primitive integer numerators over one
-    denominator: the gcd of the numerators and the denominator is divided
-    out after every product, so the denominator is the lcm of the
-    coefficient denominators of f^k.  The partial sums of b_k f^k are kept
-    as integer numerators over the lcm of the denominators added so far,
-    and f^k enters them as soon as it is formed, so one power is held at a
-    time and each b_j costs one Fraction.
+    With s the gcd of k - 1 over the nonzero c_k (k >= 2), f = z h(z^s),
+    so f^k and the sum of b_k f^k carry only exponents = 1 (mod s), and
+    b_k = 0 unless k = 1 (mod s): only the powers f^(1 + js) are formed,
+    each from the last by one product with f^s.  Every b_j is still read
+    from that sum.  Each power is kept as primitive integer numerators
+    over one denominator: the gcd of the numerators and the denominator is
+    divided out after every product, so the denominator is the lcm of the
+    coefficient denominators of the power.  The partial sums of b_k f^k
+    are kept as integer numerators over the lcm of the denominators added
+    so far, and f^k enters them as soon as it is formed, so one power is
+    held at a time and each b_j costs one Fraction.
     """
     n = len(coeffs) - 1
     f_re, f_im, f_den = _to_ints(coeffs, n)
+    step = gcd(*[k - 1 for k in range(2, n + 1)
+                 if f_re[k] or f_im and f_im[k]]) or n
+    s_re, s_im, s_den = f_re, f_im, f_den  # f^s, if f^(1 + s) is needed
+    for _ in range(step - 1 if step + 1 < n else 0):
+        s_re, s_im = _mul_ints(s_re, s_im, f_re, f_im, n)
+        s_re, s_im, s_den = _reduced(s_re, s_im, s_den * f_den)
     re, im, den = f_re, f_im, f_den  # f^k
     acc_re = [0] * (n + 1)  # sum of b_k f^k so far, over acc_den
     acc_im = f_im and [0] * (n + 1)
     acc_den = 1
     b = [Fraction(0), Fraction(1)]
-    for k in range(1, n):
+    for k in range(1, n, step):
         if b[k]:
             (w_re,), w_im, w_den = _to_ints(b[k: k + 1], 0)
             term_den = w_den * den
@@ -402,15 +429,11 @@ def _revert_exact(coeffs):
                 _axpy(acc_re, -w_im, im, k + 1)
                 _axpy(acc_im, w_re, im, k + 1)
                 _axpy(acc_im, w_im, re, k + 1)
-        b += _from_ints([-acc_re[k + 1]], acc_im and [-acc_im[k + 1]],
-                        acc_den)
-        if k + 1 < n:
-            re, im = _mul_ints(re, im, f_re, f_im, n)
-            den *= f_den
-            g = gcd(den, *re, *(im or ()))
-            re = [x // g for x in re]
-            im = im and [x // g for x in im]
-            den //= g
+        for j in range(k + 1, min(k + step, n) + 1):
+            b += _from_ints([-acc_re[j]], acc_im and [-acc_im[j]], acc_den)
+        if k + step < n:
+            re, im = _mul_ints(re, im, s_re, s_im, n)
+            re, im, den = _reduced(re, im, den * s_den)
     return b[: n + 1]
 
 
@@ -436,10 +459,7 @@ def _compose_exact(outer, inner, order):
         re[0] += c_re[k] * den  # the product's z^0 term is 0
         if c_im:
             im[0] += c_im[k] * den
-        g = gcd(den, *re, *(im or ()))
-        re = [x // g for x in re]
-        im = im and [x // g for x in im]
-        den //= g
+        re, im, den = _reduced(re, im, den)
     if im is not None and not any(im):
         im = None
     return _from_ints(re, im, den * c_den)
@@ -478,8 +498,11 @@ def _miller_exact(coeffs, c_re, c_im, d, q):
     integer weights; coeffs[0] does not enter it.  The a_k are numerators
     over their common denominator and b_0 .. b_{n-1} are numerators over
     C, the lcm of their own denominators, so each b_n costs integer
-    products and one gcd.  Zero terms are skipped.  Returns the b_n as
-    ``(re, im, C)``, as ``_to_ints`` would.  The weights give
+    products and one gcd.  Zero terms are skipped, and as in
+    ``_miller_float`` the recurrence runs on a_{jg} and b_{jg} in j, with g
+    the gcd of the exponents of the nonzero a_k; the other b_n are 0.
+    Returns the b_n as ``(re, im, C)``, as ``_to_ints`` would.  The
+    weights give
     - a^(p/q) for a_0 = 1: c = p + q, d = q;
     - exp(a) for a_0 = 0: c = 1, d = 0, q = 1, from E' = a' E.
     """
@@ -488,9 +511,12 @@ def _miller_exact(coeffs, c_re, c_im, d, q):
     complex_out = a_im is not None or c_im != 0
     a = [[(k, x) for k, x in enumerate(part) if k and x] if part else None
          for part in (a_re, a_im)]
+    step = gcd(*[k for part in a if part for k, _ in part]) or order + 1
+    if step > 1:
+        a = [part and [(k // step, x) for k, x in part] for part in a]
     b = [[1], [0] if complex_out else None]  # b_0 .. b_{n-1} over den
     den = 1
-    for n in range(1, order + 1):
+    for n in range(1, order // step + 1):
         re, im = _miller_sum(a, b, n, c_re, n * d)
         if c_im:
             x_re, x_im = _miller_sum(a, b, n, c_im, 0)
@@ -506,7 +532,16 @@ def _miller_exact(coeffs, c_re, c_im, d, q):
         b[0].append(re * scale)
         if complex_out:
             b[1].append(im * scale)
+    if step > 1:
+        b = [part and _spread(part, step, order) for part in b]
     return b[0], b[1], den
+
+
+def _spread(values, step, order):
+    """values[j] at index j step of order + 1 zeros."""
+    out = [0] * (order + 1)
+    out[::step] = values
+    return out
 
 
 def _pow_exact(coeffs, exponent):
@@ -524,7 +559,10 @@ def _mul_coeffs_float(a, b, order):
 
     conv = np.convolve(np.asarray(a, dtype=complex),
                        np.asarray(b, dtype=complex))[: order + 1]
-    return list(conv)
+    return conv.tolist()
+
+
+_MILLER_BLOCK = 4096  # weight entries formed at once by _miller_float
 
 
 def _miller_float(coeffs, c, d, q=1):
@@ -534,10 +572,17 @@ def _miller_float(coeffs, c, d, q=1):
     and one np.dot per coefficient; coeffs[0] does not enter it.  Each
     weight c k - d n is formed before its product: split into the two sums
     c sum k a_k b_{n-k} and d n sum a_k b_{n-k}, it would lose to their
-    cancellation.  With g the gcd of the exponents of the nonzero a_k,
-    b_n = 0 unless g divides n, and the recurrence, homogeneous in k and n,
-    runs on a_{jg} and b_{jg} in j: an m-fold series takes n/m steps.  A
-    non-finite coefficient gives non-finite output without a RuntimeWarning.
+    cancellation.  The weights (c k - d n) a_k are formed for a block of
+    rows n at once, one subtraction and one product into a buffer of about
+    ``_MILLER_BLOCK`` entries, so memory stays bounded at any order.  Each
+    weight is the same operation on the same operands as row by row, but
+    numpy rounds a complex product of shape (1, 1) differently from the
+    length-1 row, so the first block starts at the unused row 0 and no
+    block is a single weight.  With g the gcd of the exponents of the
+    nonzero a_k, b_n = 0 unless g divides n, and the recurrence,
+    homogeneous in k and n, runs on a_{jg} and b_{jg} in j: an m-fold
+    series takes n/m steps.  A non-finite coefficient gives non-finite
+    output without a RuntimeWarning.
     """
     import numpy as np
 
@@ -545,16 +590,24 @@ def _miller_float(coeffs, c, d, q=1):
     n = a.size - 1
     g = gcd(*(np.flatnonzero(a[1:]) + 1).tolist()) or n + 1
     a = a[::g]
-    b = np.zeros(a.size, dtype=complex)
+    size = a.size
+    b = np.zeros(size, dtype=complex)
     b[0] = 1
+    rows = max(2, _MILLER_BLOCK // size)  # per block, each under size weights
+    buf = np.empty(rows * size, dtype=complex)
     with np.errstate(all="ignore"):
-        ck = c * np.arange(a.size)
-        for j in range(1, a.size):
-            w = (ck[1:j + 1] - d * j) * a[1:j + 1]
-            b[j] = np.dot(w, b[j - 1::-1]) / (j * q)
+        ck = c * np.arange(size)
+        for start in range(0, size, rows):
+            stop = min(start + rows, size)  # rows start .. stop - 1
+            w = buf[: (stop - start) * (stop - 1)].reshape(stop - start, -1)
+            np.subtract(ck[1:stop], (d * np.arange(start, stop))[:, None],
+                        out=w)
+            np.multiply(w, a[1:stop], out=w)
+            for j in range(max(start, 1), stop):
+                b[j] = np.dot(w[j - start, :j], b[j - 1::-1]) / (j * q)
     out = np.zeros(n + 1, dtype=complex)
     out[::g] = b
-    return list(out)
+    return out.tolist()
 
 
 class TruncatedSeries:
@@ -565,7 +618,9 @@ class TruncatedSeries:
     def __init__(self, coeffs, backend=EXACT):
         scalar_types(backend)  # refuses an unknown backend word
         if backend == EXACT:
-            coeffs = tuple(_coerce_scalar(c, backend) for c in coeffs)
+            coeffs = tuple(coeffs)
+            if not _EXACT_SCALARS.issuperset(map(type, coeffs)):
+                coeffs = tuple(_coerce_scalar(c, backend) for c in coeffs)
         else:
             coeffs = tuple(coeffs)
             _refuse_text(coeffs)
@@ -607,7 +662,7 @@ class TruncatedSeries:
     @classmethod
     def from_dict(cls, entries, order, backend=EXACT):
         """Series with coefficient ``entries[n]`` at ``z^n``, zero elsewhere."""
-        coeffs = [0] * (order + 1)
+        coeffs = _zeros(order + 1, backend)
         for n, value in entries.items():
             if 0 <= n <= order:
                 coeffs[n] = value
@@ -657,7 +712,14 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[: order + 1], backend=self.backend)
 
     def to_float(self):
-        return TruncatedSeries(self.coeffs, backend=FLOAT)
+        """The series on the float backend.  A Fraction converts by its
+        numerator / denominator, which is ``float(Fraction)``'s own correctly
+        rounded division without its Python-level calls."""
+        if self.backend == FLOAT:
+            return self
+        return TruncatedSeries(
+            [c.numerator / c.denominator if type(c) is Fraction
+             else complex(c) for c in self.coeffs], backend=FLOAT)
 
     def _check_backend(self, other):
         if self.backend != other.backend:
@@ -735,7 +797,7 @@ class TruncatedSeries:
             recip = _miller_float(other.coeffs[: n + 1], 0, 1, b0)
             with np.errstate(all="ignore"):
                 out = np.convolve(self.coeffs[: n + 1], recip)[: n + 1] / b0
-            return TruncatedSeries(out, backend=FLOAT)
+            return TruncatedSeries(out.tolist(), backend=FLOAT)
         if b0 != 1:  # a / b = (a / b0) / (b / b0)
             return (self / b0) / (other / b0)
         # a / b = a b^-1 for b0 = 1, the reciprocal by Miller's recurrence
@@ -745,7 +807,7 @@ class TruncatedSeries:
             *_mul_ints(a_re, a_im, r_re, r_im, n), a_den * r_den))
 
     def __rtruediv__(self, other):
-        return TruncatedSeries([other] + [0] * self.order,
+        return TruncatedSeries([other] + _zeros(self.order, self.backend),
                                backend=self.backend) / self
 
     def __eq__(self, other):
@@ -763,7 +825,7 @@ class TruncatedSeries:
 
     def shift_up(self, k=1):
         """Multiply by z^k.  Trusted order grows with the shift."""
-        return TruncatedSeries([0] * k + list(self.coeffs),
+        return TruncatedSeries(_zeros(k, self.backend) + list(self.coeffs),
                                backend=self.backend)
 
     def shift_down(self, k=1):
@@ -782,7 +844,7 @@ class TruncatedSeries:
             raise ValueError("stretch factor must be a positive integer")
         if m == 1:
             return self
-        out = [0] * (m * self.order + m)
+        out = _zeros(m * self.order + m, self.backend)
         for n, c in enumerate(self.coeffs):
             out[m * n] = c
         return TruncatedSeries(out[: m * self.order + m], backend=self.backend)
@@ -816,7 +878,8 @@ class TruncatedSeries:
         if self.backend == EXACT:
             return TruncatedSeries(_compose_exact(self.coeffs, inner.coeffs, n))
         outer = self.coeffs[: n + 1]
-        acc = TruncatedSeries([outer[-1]] + [0] * n, backend=self.backend)
+        acc = TruncatedSeries([outer[-1]] + _zeros(n, self.backend),
+                              backend=self.backend)
         inner_t = inner.truncate(n) if inner.order > n else inner
         for k in range(len(outer) - 2, -1, -1):
             acc = acc * inner_t + outer[k]
@@ -968,4 +1031,5 @@ DEFAULT_ORDER = 30  # for workflows not driven by a fold order
 
 def geometric_series(order=DEFAULT_ORDER, backend=EXACT):
     """1/(1-z) truncated at ``order``: all coefficients 1."""
-    return TruncatedSeries([1] * (order + 1), backend=backend)
+    return TruncatedSeries([_coerce_scalar(1, backend)] * (order + 1),
+                           backend=backend)

@@ -96,6 +96,43 @@ def test_constructor_invariants():
                              backend="float")
 
 
+TINY = F(1, 10 ** 30)
+ZETA = unimodular_exact(F(3, 7))
+
+
+@pytest.mark.parametrize("atoms, message", [
+    # points 1e-30 off the circle, inside and outside
+    ([(1, QComplex(1 - TINY))], "exact atoms need exact unimodular points"),
+    ([(F(1, 3), ONE), (F(2, 3), ZETA * (1 + TINY))],
+     "exact atoms need exact unimodular points"),
+    ([(F(1, 2), ONE), (F(1, 2), 1 + 0j)],
+     "exact atoms need exact unimodular points"),
+    # weights summing to 1 -/+ 1e-30, and a negative weight
+    ([(F(1, 3), ONE), (F(2, 3) - TINY, ZETA)], "atom weights must sum to 1"),
+    ([(F(1, 3) + TINY, ONE), (F(2, 3), ZETA)], "atom weights must sum to 1"),
+    ([(F(-1, 3), ONE), (F(4, 3), ZETA)], "atom weights must be nonnegative"),
+    # the first atom's refusal comes first
+    ([(-TINY, ONE), (1 + TINY, QComplex(2))],
+     "atom weights must be nonnegative"),
+    ([(F(1, 2), QComplex(2)), (F(-1, 2), ONE)],
+     "exact atoms need exact unimodular points"),
+], ids=["point-inside", "point-outside", "float-point", "sum-below",
+        "sum-above", "negative-weight", "weight-before-point",
+        "point-before-weight"])
+def test_exact_constructor_refuses_off_by_tiny_atoms(atoms, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CaratheodoryFunction(atoms, backend="exact")
+
+
+def test_exact_constructor_takes_unimodular_points_and_unit_sums():
+    third = F(1, 3)
+    points = [ONE, -ONE, QComplex(0, 1), ZETA, ZETA.conjugate(), ZETA * ZETA]
+    weights = [third, F(1, 6), F(1, 12), F(1, 12), F(1, 5), F(2, 15)]
+    assert sum(weights) == 1 and all(z.abs2() == 1 for z in points)
+    p = CaratheodoryFunction(list(zip(weights, points)))
+    assert p.backend == "exact" and len(p.atoms) == 6
+
+
 NAN = float("nan")
 
 

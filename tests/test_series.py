@@ -18,8 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 from bifold.caratheodory import CaratheodoryFunction
 from bifold.derivation import class_constants
 from bifold.membership import ClassSpec
+from bifold import series as series_mod
 from bifold.series import (QComplex, TruncatedSeries, _compose_exact,
-                           _to_ints, geometric_series)
+                           _from_ints, _miller_exact, _miller_float,
+                           _pow_exact, _revert_exact, _to_ints,
+                           geometric_series)
 
 S = TruncatedSeries.exact
 
@@ -936,9 +939,9 @@ B0S = {"one": 1 + 0j, "negative": complex(-1.75, 0.0),
 @pytest.mark.parametrize("special", ["finite", "overflow", "nan"])
 @pytest.mark.parametrize("b0", sorted(B0S))
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_float_division_and_exp0_keep_the_scalar_loops_bits(m, b0, special):
-    # named for the bit test it replaced: float quotients and exp0 are now
-    # held to the exact result of the same inputs, within the stated bound
+def test_float_quotient_and_exp0_meet_the_exact_bound(m, b0, special):
+    # float quotients and exp0 held to the exact result of the same inputs,
+    # within the stated bound
     rng = random.Random(f"float-kernels/{m}/{b0}/{special}")
     for n in (0, 1, 15, 16, 17, 40, rng.randint(41, 239), 240):
         num = kernel_inputs(rng, n, m, special)
@@ -962,6 +965,186 @@ def test_float_quotient_with_negative_zero_starts_meets_the_exact_bound():
     check_float_quotient(num, den)
     quotient = TruncatedSeries.floating(num) / TruncatedSeries.floating(den)
     assert not all(map(cmath.isfinite, quotient))
+
+
+# ----------------------------------------------------------------------
+# the float Miller kernel's row blocks against its per-row loop
+
+
+def per_row_miller(coeffs, c, d, q=1):
+    """``_miller_float`` as it ran before its row blocks: each row's
+    weights formed on their own."""
+    a = np.array(coeffs, dtype=complex)
+    n = a.size - 1
+    g = math.gcd(*(np.flatnonzero(a[1:]) + 1).tolist()) or n + 1
+    a = a[::g]
+    b = np.zeros(a.size, dtype=complex)
+    b[0] = 1
+    with np.errstate(all="ignore"):
+        ck = c * np.arange(a.size)
+        for j in range(1, a.size):
+            w = (ck[1:j + 1] - d * j) * a[1:j + 1]
+            b[j] = np.dot(w, b[j - 1::-1]) / (j * q)
+    out = np.zeros(n + 1, dtype=complex)
+    out[::g] = b
+    return list(out)
+
+
+def miller_forms(rng):
+    """(c, d, q) as each caller passes them: a power (c = exponent + 1 as
+    ``pow`` coerces it), the reciprocal a quotient multiplies by, exp0."""
+    exponent = rng.choice([0.5, -1 / 3, -2.0, 1.5 - 0.25j,
+                           complex(rng.uniform(-3, 3), rng.uniform(-1, 1))])
+    b0 = rng.choice(list(B0S.values()))
+    return [(complex(exponent) + 1, 1, 1), (0, 1, b0), (1, 0, 1)]
+
+
+def assert_same_miller_bits(coeffs, rng):
+    for c, d, q in miller_forms(rng):
+        got = quiet(_miller_float, coeffs, c, d, q)
+        assert all(type(z) is complex for z in got)
+        assert list(map(bits, got)) == \
+            list(map(bits, per_row_miller(coeffs, c, d, q))), (c, d, q)
+
+
+@pytest.mark.parametrize("special", ["finite", "overflow", "nan"])
+def test_float_miller_blocks_keep_the_per_row_bits(special):
+    # every length to 300 on gaps 1 to 5: rows past 64 span several blocks
+    rng = random.Random(f"miller-blocks/{special}")
+    for n in range(1, 301):
+        assert_same_miller_bits(
+            kernel_inputs(rng, n, rng.randint(1, 5), special), rng)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_float_miller_blocks_keep_the_bits_of_short_inputs(n):
+    # one or two rows, the shapes where numpy's complex product rounds
+    # by shape; a_1 is nonzero, so every row is formed
+    rng = random.Random(f"miller-short/{n}")
+    for _ in range(1500):
+        coeffs = random_complexes(rng, n + 1)
+        coeffs[1] = coeffs[1] or 1 + 0j
+        assert_same_miller_bits(coeffs, rng)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 16, 100])
+def test_float_miller_blocks_of_any_size_keep_the_bits(block, monkeypatch):
+    monkeypatch.setattr(series_mod, "_MILLER_BLOCK", block)
+    rng = random.Random(f"miller-block-size/{block}")
+    for n in (1, 2, 3, 4, 5, 9, 10, 11, 31, 32, 33, 64, 65):
+        for gap in (1, 2, 5):
+            special = rng.choice(["finite", "finite", "nan"])
+            assert_same_miller_bits(kernel_inputs(rng, n, gap, special), rng)
+
+
+def test_float_miller_memory_stays_in_its_block(monkeypatch):
+    # the weight buffer holds max(4096, 2 size) entries at any order
+    sizes = []
+    real_empty = np.empty
+
+    def spy(shape, dtype=float):
+        sizes.append(shape)
+        return real_empty(shape, dtype=dtype)
+
+    monkeypatch.setattr(np, "empty", spy)
+    for n in (1, 63, 64, 240, 2000, 5000):
+        _miller_float([1 + 0j] * (n + 1), 1.5 + 0j, 1)
+        assert sizes.pop() <= max(series_mod._MILLER_BLOCK, 2 * (n + 1))
+
+
+# ----------------------------------------------------------------------
+# exact Miller and reversion on the m-fold lattice
+
+
+def m_fold_series(m, order, rng, offset):
+    """Exact coefficients at exponents = offset (mod m) through order:
+    rationals and Gaussian rationals, some zero."""
+    def value():
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if rng.random() < 0.4:
+            return QComplex(x, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        return x
+
+    return [value() if k % m == offset % m and rng.random() < 0.85
+            else Fraction(0) for k in range(order + 1)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_revert_on_the_lattice_matches_the_schoolbook_recursion(m, seed):
+    rng = random.Random(f"lattice-revert/{m}/{seed}")
+    order = rng.randint(2 * m + 1, 6 * m + 2)
+    coeffs = m_fold_series(m, order, rng, 1)
+    coeffs[:2] = [Fraction(0), Fraction(1)]
+    # b_{2m+1} = (m+1) a_{m+1}^2 - a_{2m+1} cancels to 0
+    a1 = coeffs[m + 1] = coeffs[m + 1] or Fraction(1, 3)
+    coeffs[2 * m + 1] = (m + 1) * a1 * a1
+    expected = reference_revert(coeffs, schoolbook_mul, Fraction(0),
+                                Fraction(1))
+    assert expected[2 * m + 1] == 0
+    assert _revert_exact(coeffs) == expected
+    # only a_{2m+1}: the lattice step is 2m
+    sparse = [Fraction(0)] * (order + 1)
+    sparse[1], sparse[2 * m + 1] = Fraction(1), coeffs[m + 1]
+    assert _revert_exact(sparse) == reference_revert(
+        sparse, schoolbook_mul, Fraction(0), Fraction(1))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_pow_on_the_lattice_matches_exp0_of_log1(m, seed):
+    rng = random.Random(f"lattice-pow/{m}/{seed}")
+    order = rng.randint(2 * m, 6 * m)
+    coeffs = m_fold_series(m, order, rng, 0)
+    coeffs[0] = Fraction(1)
+    for exponent in (Fraction(1, m), Fraction(-3, 2), Fraction(2, 3),
+                     QComplex(Fraction(1, 2), Fraction(-1, 3))):
+        # the u^2 coefficient of (1 + a u + b u^2)^p, p b + p (p-1)/2 a^2,
+        # cancels to 0
+        a1 = coeffs[m] = coeffs[m] or Fraction(2, 5)
+        coeffs[2 * m] = -(exponent - 1) / 2 * a1 * a1
+        series = S(coeffs)
+        expected = reference_pow(series, exponent)
+        assert expected[2 * m] == 0
+        assert _from_ints(*_pow_exact(coeffs, exponent)) == expected
+        assert list(series.pow(exponent)) == expected
+    # exp0 on the same lattice, through _miller_exact's own weights
+    coeffs[0] = Fraction(0)
+    assert _from_ints(*_miller_exact(coeffs, 1, 0, 0, 1)) == \
+        reference_exp0(coeffs, Fraction(0), Fraction(1))
+
+
+# ----------------------------------------------------------------------
+# to_float
+
+
+huge_fractions_st = st.builds(
+    Fraction, st.integers(-10 ** 400, 10 ** 400).filter(bool),
+    st.sampled_from([1, 3, 10 ** 300, 3 ** 700, 2 ** 1100]))
+
+
+@given(st.lists(exact_values_st | huge_fractions_st | st.just(Fraction(0)),
+                min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+@example([Fraction(1, 3), Fraction(-2, 3), Fraction(10 ** 308 * 17, 10),
+          Fraction(1, 2 ** 1074), Fraction(1, 2 ** 1076), Fraction(0),
+          QComplex(Fraction(1, 10), Fraction(-7, 3))])
+def test_to_float_keeps_the_bits_of_complex(coeffs):
+    try:
+        expected = [bits(complex(c)) for c in coeffs]
+    except OverflowError:  # a part beyond the float range
+        with pytest.raises(OverflowError):
+            S(coeffs).to_float()
+        return
+    got = S(coeffs).to_float()
+    assert got.backend == "float"
+    assert all(type(z) is complex for z in got)
+    assert list(map(bits, got)) == expected
+
+
+def test_to_float_of_a_float_series_is_the_series():
+    series = TruncatedSeries.floating([1, 0.5j, -2.0])
+    assert series.to_float() is series
 
 
 @pytest.mark.parametrize("order", [0, 1, 40, 240])
