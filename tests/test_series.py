@@ -939,9 +939,9 @@ B0S = {"one": 1 + 0j, "negative": complex(-1.75, 0.0),
 @pytest.mark.parametrize("special", ["finite", "overflow", "nan"])
 @pytest.mark.parametrize("b0", sorted(B0S))
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_float_quotient_and_exp0_meet_the_exact_bound(m, b0, special):
-    # float quotients and exp0 held to the exact result of the same inputs,
-    # within the stated bound
+def test_float_division_and_exp0_keep_the_scalar_loops_bits(m, b0, special):
+    # named for the bit test it replaced: float quotients and exp0 are now
+    # held to the exact result of the same inputs, within the stated bound
     rng = random.Random(f"float-kernels/{m}/{b0}/{special}")
     for n in (0, 1, 15, 16, 17, 40, rng.randint(41, 239), 240):
         num = kernel_inputs(rng, n, m, special)
