@@ -120,6 +120,9 @@ def corollary_bounds_exact(which, m=1, alpha=None, beta=None):
                 B2 = 2(m+1)(1-b)^2/m^2 + (1-b)/m
     which = 10: m = 1, arg-type:      B1 = 2a/sqrt(a+1), B2 = 4a^2 + a
     which = 11: m = 1, re-type:       B1 = sqrt(2(1-b)), B2 = 4(1-b)^2 + (1-b)
+
+    10 and 11 are written as printed, not as 6 and 7 at m = 1, so
+    ``verify_reductions``' one-fold check compares two formulas.
     """
     _check_m(m)
     if which in (10, 11) and m != 1:
@@ -129,6 +132,8 @@ def corollary_bounds_exact(which, m=1, alpha=None, beta=None):
             raise ValueError("arg-type corollary needs alpha")
         _check_alpha(alpha)
         a = Fraction(alpha)
+        if which == 10:
+            return 4 * a ** 2 / (a + 1), 4 * a ** 2 + a
         b1_sq = 4 * a ** 2 / (m ** 2 * (a + 1))
         b2 = a * Fraction(1, m) + 2 * (m + 1) * a ** 2 * Fraction(1, m ** 2)
         return b1_sq, b2
@@ -137,6 +142,8 @@ def corollary_bounds_exact(which, m=1, alpha=None, beta=None):
             raise ValueError("re-type corollary needs beta")
         _check_beta(beta)
         b = Fraction(beta)
+        if which == 11:
+            return 2 * (1 - b), 4 * (1 - b) ** 2 + (1 - b)
         b1_sq = 2 * (1 - b) / Fraction(m ** 2)
         b2 = (2 * (m + 1) * (1 - b) ** 2 * Fraction(1, m ** 2)
               + (1 - b) * Fraction(1, m))
@@ -154,9 +161,9 @@ def verify_reductions(m_values, alpha_values, beta_values):
     """Check that the lambda = 1 bounds equal their special-case formulas.
 
     Returns a list of row dicts, one per (kind, m, parameter) cell, each
-    carrying the exact squared-B1 comparison and the exact B2 comparison,
-    plus the float values.  Mismatch is an outcome, not an exception.
-    The m = 1 rows additionally compare against the one-fold special case.
+    carrying the exact squared-B1 comparison and the exact B2 comparison.
+    Mismatch is an outcome, not an exception.  The m = 1 rows additionally
+    compare against the printed one-fold special case.
     """
     rows = []
     for m in m_values:
@@ -168,12 +175,8 @@ def verify_reductions(m_values, alpha_values, beta_values):
                 b1_sq, b2 = exact_bound(m, value, 1)
                 c1_sq, c2 = corollary_bounds_exact(general, m=m,
                                                    **{kind: value})
-                row = {
-                    "kind": kind, "m": m, "param": value,
-                    "b1": math.sqrt(b1_sq), "b2": float(b2),
-                    "b1_sq_match": b1_sq == c1_sq,
-                    "b2_match": b2 == c2,
-                }
+                row = {"kind": kind, "m": m, "param": value,
+                       "b1_sq_match": b1_sq == c1_sq, "b2_match": b2 == c2}
                 if m == 1:
                     row["onefold_match"] = (
                         (b1_sq, b2)

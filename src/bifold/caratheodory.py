@@ -97,11 +97,6 @@ class CaratheodoryFunction:
     def __setattr__(self, name, value):
         raise AttributeError("CaratheodoryFunction is immutable")
 
-    @classmethod
-    def constant_one(cls, fold=1, backend=EXACT):
-        """p = 1: every coefficient zero."""
-        return cls((), fold=fold, backend=backend)
-
     def coefficient(self, k):
         """p_{km} = 2 sum_j w_j zeta_j^k (the k-th atom moment, doubled)."""
         if k < 1:

@@ -4,11 +4,14 @@ All commands are deterministic functions of their flags.  ``--config``
 names a JSON object whose keys are flag names; ``main`` reads it as
 ``--key=value`` words placed before the command line's own flags, so one
 parser checks both and the command line wins.  Each flag's default is
-declared once, in ``build_parser``.  Output is CSV (default) or JSON, to
-stdout or ``--out``.  Floats are printed with 15 significant digits and
-exact rationals as num/den strings, so repeated runs are byte-identical;
-the only run-dependent line is the CSV timestamp header, suppressed by
-``--no-timestamp``.
+declared once, in ``build_parser``, but for ``--alpha`` and ``--beta``:
+left None there, so that ``_refuse_ignored_param`` sees whether one was
+given, they take their defaults in ``cmd_bounds``, ``cmd_membership``,
+``cmd_solve_coeffs`` and ``cmd_search``.  Output is CSV (default) or
+JSON, to stdout or ``--out``.  Floats are printed with 15 significant
+digits and exact rationals as num/den strings, so repeated runs are
+byte-identical; the only run-dependent line is the CSV timestamp header,
+suppressed by ``--no-timestamp``.
 
 Exit codes: 0 success, 1 suite or verification failure, 2 usage error
 (bad input), 3 internal error (any other exception: a defect in bifold,

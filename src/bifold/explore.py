@@ -139,17 +139,6 @@ def _draw_block(prefix, block, count, constants, scale):
     return p_m, p_2m, q_m, q_2m
 
 
-class _BlockTags:
-    """The tags ``f"{prefix}/{i}"`` of one block's draws, formed only for
-    the draws that ``record`` keeps as an argmax."""
-
-    def __init__(self, prefix, start):
-        self.prefix, self.start = prefix, start
-
-    def __getitem__(self, offset):
-        return f"{self.prefix}/{self.start + offset}"
-
-
 def replay_draw(tag, spec: ClassSpec, samples):
     """(p_m, p_2m, q_m, q_2m) of the draw tagged ``tag`` (an
     ``argmax_seed``) in a sweep cell of ``spec``.
@@ -197,54 +186,45 @@ def sweep_cell(kind, m, param, lam, samples, seed,
     _check_counts(samples, realizable)
     spec = ClassSpec.from_kind(kind, m, param, lam)
     constants = class_constants(spec, "float")
-    lam_f = float(lam)
-    param_f = float(param)
-    best = {"f1": 0.0, "f2": 0.0, "u1": 0.0, "u2": 0.0,
-            "fseed": "", "useed": ""}
-    count_filtered = 0
+    lam_f, param_f = float(lam), float(param)
     prefix = _subseed(seed, kind, m, param_f, lam_f)
-
-    def batches():
-        """(moments, tags) of each block of the body draws, then of each
-        block of the realizable draws."""
-        for sequence, total, scale in (
-                (prefix, samples, 1),
-                (f"{prefix}/realizable", realizable, _REALIZABLE_SCALE)):
-            for block, start in enumerate(range(0, total, _BLOCK)):
-                count = min(_BLOCK, total - start)
-                yield (_draw_block(sequence, block, count, constants, scale),
-                       _BlockTags(sequence, start))
-
-    # Each batch is folded, in sample order, into the running maxima.  An
-    # argmax moves only to a strictly greater value, so the first sample
-    # attaining a maximum keeps it, as in a one-by-one loop.
-    for moments, tags in batches():
-        solution = solve_moments(*moments, constants)
-        a1, a2 = abs(solution.a_m1), abs(solution.a_2m1)
-        i = int(np.argmax(a1))
-        if a1[i] > best["u1"]:
-            best["u1"] = float(a1[i])
-            best["useed"] = tags[i]
-        best["u2"] = max(best["u2"], float(np.max(a2)))
-        kept = abs(solution.residuals["addition"]) <= REALIZABILITY_THRESHOLD
-        if kept.any():
-            count_filtered += int(np.count_nonzero(kept))
-            a1_kept = np.where(kept, a1, -1.0)
-            i = int(np.argmax(a1_kept))
-            if a1_kept[i] > best["f1"]:
-                best["f1"] = float(a1_kept[i])
-                best["fseed"] = tags[i]
-            best["f2"] = max(best["f2"], float(np.max(a2[kept])))
+    f1 = f2 = u1 = u2 = 0.0  # filtered and unfiltered maxima
+    fseed = useed = ""  # their argmax tags
+    count_filtered = 0
+    # The body draws, then the realizable draws, fold into the maxima a
+    # block at a time, in sample order.  An argmax moves only to a strictly
+    # greater value, so the first sample attaining a maximum keeps it.
+    for sequence, total, scale in (
+            (prefix, samples, 1),
+            (f"{prefix}/realizable", realizable, _REALIZABLE_SCALE)):
+        for block, start in enumerate(range(0, total, _BLOCK)):
+            moments = _draw_block(sequence, block, min(_BLOCK, total - start),
+                                  constants, scale)
+            solution = solve_moments(*moments, constants)
+            a1, a2 = abs(solution.a_m1), abs(solution.a_2m1)
+            i = int(np.argmax(a1))
+            if a1[i] > u1:
+                u1, useed = float(a1[i]), f"{sequence}/{start + i}"
+            u2 = max(u2, float(np.max(a2)))
+            kept = (abs(solution.residuals["addition"])
+                    <= REALIZABILITY_THRESHOLD)
+            if kept.any():
+                count_filtered += int(np.count_nonzero(kept))
+                a1_kept = np.where(kept, a1, -1.0)
+                i = int(np.argmax(a1_kept))
+                if a1_kept[i] > f1:
+                    f1, fseed = float(a1_kept[i]), f"{sequence}/{start + i}"
+                f2 = max(f2, float(np.max(a2[kept])))
 
     b1, b2 = spec.bounds()
     return SearchRecord(
         kind=kind, m=m, param=param_f, lam=lam_f,
         samples=samples + realizable, filtered_count=count_filtered,
-        max_a_m1=best["f1"], max_a_2m1=best["f2"],
-        max_a_m1_unfiltered=best["u1"], max_a_2m1_unfiltered=best["u2"],
+        max_a_m1=f1, max_a_2m1=f2,
+        max_a_m1_unfiltered=u1, max_a_2m1_unfiltered=u2,
         bound_a_m1=b1, bound_a_2m1=b2,
         ceiling=structural_ceiling(spec),
-        argmax_seed=best["fseed"], argmax_seed_unfiltered=best["useed"])
+        argmax_seed=fseed, argmax_seed_unfiltered=useed)
 
 
 def sweep(kinds, m_values, params_by_kind, lam_values, samples, seed,

@@ -33,7 +33,7 @@ def off_shape_exponent(series: TruncatedSeries, m):
     """The first exponent n >= 2 with (n - 1) mod m != 0 and a nonzero
     coefficient, or None when the series has the m-fold shape."""
     for n in range(2, series.order + 1):
-        if (n - 1) % m != 0 and series.coeffs[n] != 0:
+        if (n - 1) % m and series.coeffs[n]:
             return n
     return None
 
@@ -97,21 +97,6 @@ class MFoldFunction:
                 entries[n] = self.coeffs[k - 1]
         return TruncatedSeries.from_dict(entries, order, backend=EXACT)
 
-    @classmethod
-    def from_series(cls, series: TruncatedSeries, m, depth):
-        """Extract a_{km+1} from a normalized series, checking the m-fold shape."""
-        if not series.is_normalized():
-            raise ValueError("series is not normalized")
-        n = off_shape_exponent(series, m)
-        if n is not None:
-            raise ValueError(
-                f"series is not {m}-fold symmetric: nonzero coefficient "
-                f"at z^{n}")
-        coeffs = []
-        for k in range(1, depth + 1):
-            coeffs.append(series.coeff(k * m + 1))
-        return cls(m, coeffs)
-
     # ------------------------------------------------------------------
 
     def inverse_closed_form(self) -> InverseCoefficients:
@@ -166,8 +151,7 @@ def root_transform(f: TruncatedSeries, m: int) -> TruncatedSeries:
     """
     if not f.is_normalized():
         raise ValueError("root transform needs a normalized series")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    bounds_mod._check_m(m)
     if m == 1:
         return f
     inner = f.stretch(m).shift_down(m)
@@ -196,6 +180,7 @@ def catalog(name: str, m: int = 1, order=None) -> TruncatedSeries:
     - ``mfold-log``: (-log(1-z^m))^(1/m)
     - ``mfold-atanh``: ((1/2) log((1+z^m)/(1-z^m)))^(1/m)
     """
+    bounds_mod._check_m(m)
     if order is None:
         order = 3 * m + 2
     if order < 1:

@@ -41,6 +41,8 @@ from fractions import Fraction
 from math import gcd, hypot, lcm
 from numbers import Rational
 
+from .bounds import _is_integer
+
 __all__ = ["QComplex", "TruncatedSeries", "geometric_series"]
 
 
@@ -289,6 +291,7 @@ def _zeros(count, backend):
 
 
 _EXACT_SCALARS = frozenset((Fraction, QComplex))
+_ZERO = Fraction(0)
 
 
 def _refuse_text(values):
@@ -327,9 +330,9 @@ def _to_ints(coeffs, order):
 
 def _from_ints(re, im, den):
     """The scalars (re + i im) / den for den > 0, as Fractions when im is
-    None; each costs one gcd."""
+    None; each costs one gcd, but every zero Fraction is one shared 0."""
     if im is None:
-        return [Fraction(x, den) for x in re]
+        return [Fraction(x, den) if x else _ZERO for x in re]
     return [_qcomplex(x, y, den) for x, y in zip(re, im)]
 
 
@@ -491,21 +494,24 @@ def _miller_sum(a, b, n, c, d):
     return re, im
 
 
-def _miller_exact(coeffs, c_re, c_im, d, q):
-    """b_0 = 1 and n q b_n = sum_{k=1}^n ((c_re + i c_im) k - d n) a_k b_{n-k}.
+def _miller_exact(coeffs, c, d):
+    """b_0 = 1 and n b_n = sum_{k=1}^n (c k - d n) a_k b_{n-k}.
 
     J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), one pass with
-    integer weights; coeffs[0] does not enter it.  The a_k are numerators
-    over their common denominator and b_0 .. b_{n-1} are numerators over
-    C, the lcm of their own denominators, so each b_n costs integer
-    products and one gcd.  Zero terms are skipped, and as in
-    ``_miller_float`` the recurrence runs on a_{jg} and b_{jg} in j, with g
-    the gcd of the exponents of the nonzero a_k; the other b_n are 0.
-    Returns the b_n as ``(re, im, C)``, as ``_to_ints`` would.  The
-    weights give
-    - a^(p/q) for a_0 = 1: c = p + q, d = q;
-    - exp(a) for a_0 = 0: c = 1, d = 0, q = 1, from E' = a' E.
+    integer weights; coeffs[0] does not enter it.  c (rational or Gaussian
+    rational) and d (rational) are scaled by q, the lcm of their
+    denominators.  The a_k are numerators over their common denominator
+    and b_0 .. b_{n-1} are numerators over C, the lcm of their own
+    denominators, so each b_n costs integer products and one gcd.  Zero
+    terms are skipped, and as in ``_miller_float`` the recurrence runs on
+    a_{jg} and b_{jg} in j, with g the gcd of the exponents of the nonzero
+    a_k; the other b_n are 0.  Returns the b_n as ``(re, im, C)``, as
+    ``_to_ints`` would.  (c, d) is (p + 1, 1) for a^p with a_0 = 1, so
+    (0, 1) for 1/a, and (1, 0) for exp(a) with a_0 = 0, from E' = a' E.
     """
+    parts = [_ratio(x) for x in (c.real, c.imag, d)]
+    q = lcm(*[den for _, den in parts])
+    c_re, c_im, d = [x * (q // den) for x, den in parts]
     order = len(coeffs) - 1
     a_re, a_im, a_den = _to_ints(coeffs, order)
     complex_out = a_im is not None or c_im != 0
@@ -544,16 +550,6 @@ def _spread(values, step, order):
     return out
 
 
-def _pow_exact(coeffs, exponent):
-    """coeffs^exponent for coeffs[0] = 1 and an int, Fraction or QComplex
-    exponent p/q, as integers: Miller's weights c = p + q, d = q over q,
-    the lcm of the denominators of the exponent's parts."""
-    p_re, p_im = exponent.real, exponent.imag
-    q = lcm(p_re.denominator, p_im.denominator)
-    return _miller_exact(coeffs, p_re.numerator * (q // p_re.denominator) + q,
-                         p_im.numerator * (q // p_im.denominator), q, q)
-
-
 def _mul_coeffs_float(a, b, order):
     import numpy as np
 
@@ -568,9 +564,11 @@ _MILLER_BLOCK = 4096  # weight entries formed at once by _miller_float
 def _miller_float(coeffs, c, d, q=1):
     """b_0 = 1 and n q b_n = sum_{k=1}^n (c k - d n) a_k b_{n-k} on floats.
 
-    Miller's recurrence as ``_miller_exact`` runs it, with complex weights
-    and one np.dot per coefficient; coeffs[0] does not enter it.  Each
-    weight c k - d n is formed before its product: split into the two sums
+    Miller's recurrence as ``_miller_exact`` runs it, on the same (c, d),
+    with complex weights and one np.dot per coefficient; coeffs[0] does
+    not enter it.  q stands for a_0: only the float quotient passes it,
+    its divisor's leading coefficient, to get a_0 / a.  Each weight
+    c k - d n is formed before its product: split into the two sums
     c sum k a_k b_{n-k} and d n sum a_k b_{n-k}, it would lose to their
     cancellation.  The weights (c k - d n) a_k are formed for a block of
     rows n at once, one subtraction and one product into a buffer of about
@@ -802,7 +800,7 @@ class TruncatedSeries:
             return (self / b0) / (other / b0)
         # a / b = a b^-1 for b0 = 1, the reciprocal by Miller's recurrence
         a_re, a_im, a_den = _to_ints(self.coeffs, n)
-        r_re, r_im, r_den = _pow_exact(other.coeffs[: n + 1], -1)
+        r_re, r_im, r_den = _miller_exact(other.coeffs[: n + 1], 0, 1)
         return TruncatedSeries(_from_ints(
             *_mul_ints(a_re, a_im, r_re, r_im, n), a_den * r_den))
 
@@ -840,7 +838,7 @@ class TruncatedSeries:
 
     def stretch(self, m):
         """Substitute z -> z^m.  Result is trusted to order m*order + m - 1."""
-        if m < 1:
+        if not _is_integer(m) or m < 1:
             raise ValueError("stretch factor must be a positive integer")
         if m == 1:
             return self
@@ -932,7 +930,7 @@ class TruncatedSeries:
             return TruncatedSeries(_miller_float(self.coeffs, 1, 0),
                                    backend=FLOAT)
         return TruncatedSeries(
-            _from_ints(*_miller_exact(self.coeffs, 1, 0, 0, 1)))
+            _from_ints(*_miller_exact(self.coeffs, 1, 0)))
 
     def pow(self, exponent):
         """Raise to a power.
@@ -956,8 +954,8 @@ class TruncatedSeries:
         if exponent == 1:
             return self
         if self.backend == EXACT:
-            out = _pow_exact(self.coeffs, exponent)
-            return TruncatedSeries(_from_ints(*out))
+            return TruncatedSeries(
+                _from_ints(*_miller_exact(self.coeffs, exponent + 1, 1)))
         return TruncatedSeries(_miller_float(self.coeffs, exponent + 1, 1),
                                backend=FLOAT)
 

@@ -74,6 +74,15 @@ def test_one_fold_reduction_is_corollary_form():
         assert b2 == a + 4 * a ** 2
         _, c2 = corollary_bounds_exact(10, alpha=a)
         assert c2 == 4 * a ** 2 + a
+    # Corollaries 10 and 11 as printed: B1^2 = 4a^2/(a+1), B2 = 4a^2 + a
+    # and B1^2 = 2(1-b), B2 = 4(1-b)^2 + (1-b)
+    assert corollary_bounds_exact(10, alpha=1) == (2, 5)
+    assert corollary_bounds_exact(10, alpha=F(1, 2)) == (F(2, 3), F(3, 2))
+    assert corollary_bounds_exact(10, alpha=F(3, 10)) == (F(18, 65),
+                                                          F(33, 50))
+    assert corollary_bounds_exact(11, beta=0) == (2, 5)
+    assert corollary_bounds_exact(11, beta=F(1, 2)) == (1, F(3, 2))
+    assert corollary_bounds_exact(11, beta=F(1, 3)) == (F(4, 3), F(22, 9))
 
 
 def test_monotone_decreasing_in_m():

@@ -58,7 +58,7 @@ def test_expansion_linear_in_weights():
 
 
 def test_constant_one_function():
-    p = CaratheodoryFunction.constant_one()
+    p = CaratheodoryFunction((), fold=1)
     assert p.moments(3) == [QComplex(0)] * 3
     assert p.eval(0.5 + 0.2j) == 1
     report = check_lemma1(p)

@@ -18,7 +18,7 @@ ONE = QComplex(1, 0)
 
 
 def test_degenerate_symmetric_pair():
-    p = CaratheodoryFunction.constant_one()
+    p = CaratheodoryFunction((), fold=1)
     sol = solve_alpha(p, p, 1, F(1), F(1))
     assert sol.a_m1 == 0 and sol.a_2m1 == 0
     assert all(complex(v) == 0 for v in sol.residuals.values())
@@ -113,7 +113,7 @@ def test_realizable_pair_float_backend():
 
 
 def test_forward_verify_zero_data():
-    p = CaratheodoryFunction.constant_one(fold=2)
+    p = CaratheodoryFunction((), fold=2)
     sol = solve_beta(p, p, 2, F(0), F(1))
     report = forward_verify(sol, p, p)
     assert report.max_abs == 0.0

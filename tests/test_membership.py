@@ -11,7 +11,7 @@ from bifold import membership
 from bifold.membership import (ClassSpec, arg_margin, check_membership, phi,
                                re_margin, tail_estimate)
 from bifold.mfold import MFoldFunction, catalog
-from bifold.series import TruncatedSeries
+from bifold.series import QComplex, TruncatedSeries
 
 F = Fraction
 
@@ -220,6 +220,23 @@ def test_mfold_symmetry_enforced():
     s = TruncatedSeries.exact([0, 1, 1, 0, 0])
     with pytest.raises(ValueError):
         check_membership(s, ClassSpec("re", m=2, beta=0))
+    # a 3-fold series with one stray coefficient in its last slot, z^12
+    spec = ClassSpec("re", m=3, beta=0)
+    base = catalog("mfold-geometric", 3, 12)
+    for stray, make in ((F(1, 7), TruncatedSeries.exact),
+                        (QComplex(0, F(1, 7)), TruncatedSeries.exact),
+                        (math.nan, TruncatedSeries.floating)):
+        s = make(list(base.coeffs[:12]) + [stray])
+        with pytest.raises(ValueError, match="not 3-fold symmetric"):
+            check_membership(s, spec)
+    # signed zeros in the off-shape slots are zeros
+    plain = base.to_float()
+    signed = TruncatedSeries.floating(
+        [c if n < 2 or (n - 1) % 3 == 0 else (-0.0, -0.0j)[n % 2]
+         for n, c in enumerate(plain.coeffs)])
+    assert any(math.copysign(1, c.real) < 0 for c in signed.coeffs)
+    assert check_membership(signed, spec).verdict == \
+        check_membership(plain, spec).verdict
 
 
 def test_arg_type_on_geometric():

@@ -95,12 +95,17 @@ def test_reverted_series_keeps_symmetry():
             assert g.coeff(n) == 0
 
 
-@pytest.mark.parametrize("m", [2.5, 0, True])
+@pytest.mark.parametrize("m", [2.5, 2.0, 0, True])
 def test_fold_order_must_be_a_positive_integer(m):
-    # 2.5 used to build a fold-2 function, and True a fold-1 one
-    with pytest.raises(ValueError, match="^fold order m must be a positive "
-                                         f"integer, got {m!r}$"):
-        MFoldFunction(m, [1, 0, 0])
+    # a bool compares equal to 0 or 1 and a float may compare equal to an
+    # int, but neither is a fold order, here or in the catalog
+    for call in (lambda: MFoldFunction(m, [1, 0, 0]),
+                 lambda: catalog("mfold-log", m, 6),
+                 lambda: catalog("log", m, 6),
+                 lambda: root_transform(catalog("geometric", 1, 6), m)):
+        with pytest.raises(ValueError, match="^fold order m must be a "
+                                             f"positive integer, got {m!r}$"):
+            call()
 
 
 def test_fold_order_may_be_a_numpy_integer():
@@ -209,15 +214,6 @@ def test_catalog_rejects_unknown_and_misused_names():
 def test_catalog_refuses_order_zero(name):
     with pytest.raises(ValueError, match="order must be >= 1"):
         catalog(name, 1, 0)
-
-
-def test_from_series_checks_symmetry():
-    s = TruncatedSeries.exact([0, 1, 1, 0, 0])
-    with pytest.raises(ValueError):
-        MFoldFunction.from_series(s, 2, 1)
-    ok = MFoldFunction.from_series(
-        MFoldFunction(2, [F(1, 2), F(1, 3), 0]).to_series(8), 2, 3)
-    assert ok.coeffs == (F(1, 2), F(1, 3), 0)
 
 
 def reference_mfold_entry(name, m, order):

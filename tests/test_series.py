@@ -21,8 +21,7 @@ from bifold.membership import ClassSpec
 from bifold import series as series_mod
 from bifold.series import (QComplex, TruncatedSeries, _compose_exact,
                            _from_ints, _miller_exact, _miller_float,
-                           _pow_exact, _revert_exact, _to_ints,
-                           geometric_series)
+                           _revert_exact, _to_ints, geometric_series)
 
 S = TruncatedSeries.exact
 
@@ -175,6 +174,14 @@ def test_compose_requires_zero_constant_term():
 
 def test_derivative_of_z():
     assert TruncatedSeries.identity(1).derivative().coeffs == (1,)
+
+
+@pytest.mark.parametrize("m", [2.0, True, 0, -1])
+def test_stretch_refuses_a_factor_that_is_no_positive_integer(m):
+    # a bool or a float that equals an int is no stretch factor
+    with pytest.raises(ValueError,
+                       match="stretch factor must be a positive integer"):
+        S([0, 1, Fraction(1, 2)]).stretch(m)
 
 
 def test_derivative_shifts_coefficients():
@@ -1106,11 +1113,12 @@ def test_exact_pow_on_the_lattice_matches_exp0_of_log1(m, seed):
         series = S(coeffs)
         expected = reference_pow(series, exponent)
         assert expected[2 * m] == 0
-        assert _from_ints(*_pow_exact(coeffs, exponent)) == expected
+        assert _from_ints(*_miller_exact(coeffs, exponent + 1, 1)) == \
+            expected
         assert list(series.pow(exponent)) == expected
     # exp0 on the same lattice, through _miller_exact's own weights
     coeffs[0] = Fraction(0)
-    assert _from_ints(*_miller_exact(coeffs, 1, 0, 0, 1)) == \
+    assert _from_ints(*_miller_exact(coeffs, 1, 0)) == \
         reference_exp0(coeffs, Fraction(0), Fraction(1))
 
 
